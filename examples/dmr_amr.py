@@ -39,7 +39,7 @@ def main() -> None:
 
     case = DoubleMachReflection(ncells=(nx, nx // 4), curvilinear=True)
     config = CroccoConfig(
-        version="2.0",          # GPU backend + AMR + curvilinear interpolator
+        version="2.0",          # device target + AMR + curvilinear interpolator
         nranks=6, ranks_per_node=6,
         max_level=2,            # three levels in total, as in Fig. 2
         max_grid_size=32, blocking_factor=8,
@@ -61,15 +61,18 @@ def main() -> None:
 
     pf = write_plotfile("plt_dmr", sim)
     print(f"\nwrote plotfile {pf}")
-    print(f"simulated GPU: {len(sim.kernels.device.launches)} kernel launches, "
-          f"high-water {sim.kernels.device.high_water / 1e6:.1f} MB")
-    from repro.perfmodel.device_timing import summarize_device
+    if sim.devices is not None:
+        from repro.perfmodel.device_timing import summarize_device
 
-    timing = summarize_device(sim.kernels.device)
-    print("simulated V100 kernel time (rank 0, whole run):")
-    for name, sec in sorted(timing.seconds.items(), key=lambda kv: -kv[1]):
-        print(f"  {name:<10} {sec * 1e3:8.2f} ms over "
-              f"{timing.launches[name]:5d} launches")
+        launches = sum(len(d.launches) for d in sim.devices)
+        high_water = max(d.high_water for d in sim.devices)
+        print(f"simulated GPUs: {launches} kernel launches over "
+              f"{len(sim.devices)} ranks, high-water {high_water / 1e6:.1f} MB")
+        timing = summarize_device(sim.devices[0])
+        print("simulated V100 kernel time (rank 0, whole run):")
+        for name, sec in sorted(timing.seconds.items(), key=lambda kv: -kv[1]):
+            print(f"  {name:<10} {sec * 1e3:8.2f} ms over "
+                  f"{timing.launches[name]:5d} launches")
     led = sim.comm.ledger
     print("communication by kind (count, bytes):")
     for kind, (cnt, vol) in sorted(led.by_kind().items()):

@@ -1,9 +1,8 @@
-"""Shared execution-backend layer (ParallelFor/ReduceData/LaunchContext).
+"""Shared execution-target layer (ParallelFor/ReduceData/use_backend).
 
 Targets plug in through the registry API (:func:`register_target` /
-:func:`available_targets`); ``TARGETS`` is derived from the registry,
-never duplicated.  See :mod:`repro.backend.launch` for the design notes
-and :mod:`repro.backend.fused` for the optimizing target.
+:func:`available_targets`).  See :mod:`repro.backend.launch` for the
+design notes and :mod:`repro.backend.fused` for the optimizing target.
 """
 
 from repro.backend.launch import (COUNTER_FIELDS, KERNEL_CLASSES,
@@ -19,21 +18,11 @@ from repro.backend.launch import (COUNTER_FIELDS, KERNEL_CLASSES,
 # importing the module registers the `fused` target with the registry
 from repro.backend.fused import FusedBackend, ScratchCache  # noqa: E402
 
-#: the LaunchContext primitive is the ``use_backend`` context manager
-LaunchContext = use_backend
-
 __all__ = [
-    "COUNTER_FIELDS", "KERNEL_CLASSES", "TARGETS", "DeviceBackend",
-    "ExecutionBackend", "FusedBackend", "HostBackend", "LaunchContext",
-    "LaunchCounter", "LaunchSpec", "ScratchCache", "UnknownTargetError",
-    "available_targets", "counters_delta", "current_backend",
-    "make_exec_backend", "parallel_for", "reduce_data", "register_target",
-    "resolve_target", "set_backend", "unregister_target", "use_backend",
+    "COUNTER_FIELDS", "KERNEL_CLASSES", "DeviceBackend", "ExecutionBackend",
+    "FusedBackend", "HostBackend", "LaunchCounter", "LaunchSpec",
+    "ScratchCache", "UnknownTargetError", "available_targets",
+    "counters_delta", "current_backend", "make_exec_backend", "parallel_for",
+    "reduce_data", "register_target", "resolve_target", "set_backend",
+    "unregister_target", "use_backend",
 ]
-
-
-def __getattr__(name: str):
-    # TARGETS mirrors the registry dynamically (see launch.__getattr__)
-    if name == "TARGETS":
-        return available_targets()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -36,7 +36,7 @@ paper applies to its Fortran -> C++ port — asserted by
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -118,9 +118,8 @@ class FusedBackend(DeviceBackend):
     target = "fused"
     fuses_kernels = True
 
-    def __init__(self, devices: Optional[List[object]] = None,
-                 jit: Optional[str] = None) -> None:
-        super().__init__(devices)
+    def __init__(self, nranks: int = 1, jit: Optional[str] = None) -> None:
+        super().__init__(nranks)
         self.scratch = ScratchCache()
         mode = (jit or os.environ.get("REPRO_FUSED_JIT", "auto")).lower()
         if mode not in JIT_MODES:
@@ -142,11 +141,11 @@ class FusedBackend(DeviceBackend):
         #: the scratch cache (surfaced in stats() and the run report)
         self.launch_shapes: Dict[Tuple[int, ...], int] = {}
 
-    def _launch(self, name, fn, npoints, spec):
-        if spec.shape is not None:
+    def parallel_for(self, name, fn, npoints, spec=None):
+        if spec is not None and spec.shape is not None:
             key = tuple(int(s) for s in spec.shape)
             self.launch_shapes[key] = self.launch_shapes.get(key, 0) + 1
-        return super()._launch(name, fn, npoints, spec)
+        return super().parallel_for(name, fn, npoints, spec)
 
     def scratch_stats(self) -> Dict[str, float]:
         """Cache counters plus the JIT state, for gauges and reports."""
@@ -156,4 +155,4 @@ class FusedBackend(DeviceBackend):
         return stats
 
 
-register_target("fused", lambda devices=None: FusedBackend(devices))
+register_target("fused", lambda nranks=1: FusedBackend(nranks))

@@ -1,29 +1,33 @@
-"""Execution backends: the ParallelFor/ReduceData launch seam.
+"""Execution targets: the ParallelFor/ReduceData launch seam.
 
 CRoCCo 2.0's port puts *every* kernel — flux sweeps, FillBoundary
 pack/unpack, ParallelCopy, interpolation, AverageDown, tagging, the
 ComputeDt reduction — behind the AMReX GPU API (``launch`` /
-``ParallelFor`` / ``ReduceData``), which is exactly what makes the
-device-side accounting of the paper's evaluation complete.  This module
-hoists that seam out of :mod:`repro.kernels.device` into a shared layer
-both the kernel backends and the AMR substrate launch through.
+``ParallelFor`` / ``ReduceData``).  As in AMReX, the kernel source never
+carries a device flag: the *execution target* alone decides where a
+launch runs and whether it is accounted.  The kernel layer
+(:class:`~repro.kernels.api.KernelSet`) and the AMR substrate both
+launch through this one seam.
 
-**Targets are pluggable.**  A backend target registers itself with
+**Targets are pluggable.**  A target registers a factory with
 :func:`register_target`; :func:`make_exec_backend` constructs backends
-*only* through that registry, and :func:`available_targets` (and the
-derived module attribute ``TARGETS``) enumerate what is installed:
+*only* through that registry, and :func:`available_targets` enumerates
+what is installed:
 
 ``host``
     Plain NumPy: :meth:`~ExecutionBackend.parallel_for` runs the body
     directly and :meth:`~ExecutionBackend.reduce_data` is a NumPy
-    reduction.  No accounting, no records — the v1.x CPU path.
+    reduction.  No devices, no records, no accounting — the v1.x CPU
+    path.
 
 ``device``
     The same arithmetic executed as recorded launches on simulated
-    :class:`~repro.kernels.device.GpuDevice` instances (arena accounting,
-    launch records, flop/byte budgets).  Because the body is identical,
-    host and device targets are *bitwise* identical; only the accounting
-    differs — the v2.0/2.1 path.
+    :class:`~repro.kernels.device.GpuDevice` instances, one per rank
+    (Summit: one V100 per MPI rank).  The target owns those devices, the
+    level-state residency and per-launch scratch reserved on them, the
+    launch records and the per-kernel-class counters.  Because the body
+    is identical, host and device targets are *bitwise* identical; only
+    the accounting differs — the v2.0/2.1 path.
 
 ``fused``
     The first *optimizing* target (:mod:`repro.backend.fused`): kernels
@@ -34,26 +38,24 @@ derived module attribute ``TARGETS``) enumerate what is installed:
     results drift from host by <= 1e-7 relative L2 (the paper's own
     Fortran -> C++ criterion), not bitwise.
 
-**The launch contract is a** :class:`LaunchSpec`.  Every target accepts
+**The launch contract is a** :class:`LaunchSpec`: every target accepts
 ``parallel_for(name, fn, npoints, spec)`` / ``reduce_data(name, values,
-op, spec)`` uniformly; the historical loose keywords (``kernel_class=``,
-``budget=``, ``rank=``, ``device=``) are still accepted for one release
-but emit a :class:`DeprecationWarning`.
+op, spec)`` and nothing else.
 
 A module-level current backend (default: host) lets deep call sites —
 the AMR substrate has no reference to the driver — resolve their target
 with :func:`current_backend`; the driver activates its configured
-backend around each step with :func:`use_backend` (the LaunchContext).
-Per-kernel-class launch counters support merging accounting from pool
-workers back into the driver (records themselves stay worker-local).
+backend around each step with :func:`use_backend`.  Per-kernel-class
+launch counters support merging accounting from pool workers back into
+the driver (records themselves stay worker-local).
 """
 
 from __future__ import annotations
 
-import warnings
+import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,11 +73,10 @@ COUNTER_FIELDS = ("launches", "points", "flops", "dram_bytes")
 
 @dataclass(frozen=True)
 class LaunchSpec:
-    """The one documented keyword contract of ``parallel_for``/``reduce_data``.
+    """The one keyword contract of ``parallel_for``/``reduce_data``.
 
-    Every registered target accepts a LaunchSpec uniformly (targets that
-    do not account simply ignore the accounting fields), replacing the
-    per-target keyword lists that used to drift apart:
+    Every registered target accepts a LaunchSpec (targets that do not
+    account simply ignore the accounting fields):
 
     ``kernel_class``
         Coarse accounting group (one of :data:`KERNEL_CLASSES`).
@@ -86,47 +87,33 @@ class LaunchSpec:
         :func:`~repro.kernels.counts.budget_for_kernel`.
     ``rank``
         The simulated MPI rank issuing the launch; accounting targets
-        map it to that rank's device when ``device`` is not given.
-    ``device``
-        Explicit :class:`~repro.kernels.device.GpuDevice` override.
+        map it to that rank's device.
     ``shape``
         Array-shape hint for scratch caching: optimizing targets key
         their reconstruction-scratch allocator by box shape, and the
         hint lets them attribute cache traffic per launch.
+    ``scratch_bytes``
+        Global-memory scratch the kernel stages intermediates in.  The
+        port allocates it from the host before the launch, never inside
+        the kernel (Sec. IV-B); accounting targets reserve it on the
+        rank's device for the launch's duration.
     """
 
     kernel_class: str = "flux"
     budget: Optional[object] = None
     rank: int = 0
-    device: Optional[object] = None
     shape: Optional[Tuple[int, ...]] = None
+    scratch_bytes: int = 0
 
 
-#: loose keywords accepted (deprecated) in place of a LaunchSpec
-_LEGACY_KEYS = ("kernel_class", "budget", "rank", "device", "shape")
+_FLUX_SPEC = LaunchSpec()
+_REDUCTION_SPEC = LaunchSpec(kernel_class="reduction")
 
 
-def _normalize_spec(spec: Optional[LaunchSpec], kwargs: dict,
-                    default_class: str) -> LaunchSpec:
-    """Fold deprecated loose keywords into a LaunchSpec (warning once per
-    call site); bare calls get a default spec."""
-    if kwargs:
-        unknown = set(kwargs) - set(_LEGACY_KEYS)
-        if unknown:
-            raise TypeError(
-                f"unknown launch keyword(s) {sorted(unknown)}; the "
-                f"LaunchSpec fields are {_LEGACY_KEYS}")
-        warnings.warn(
-            "loose parallel_for/reduce_data keywords (kernel_class=, "
-            "budget=, rank=, device=) are deprecated; pass a "
-            "LaunchSpec(...) as the `spec` argument instead",
-            DeprecationWarning, stacklevel=4)
-        if spec is None:
-            spec = LaunchSpec(kernel_class=default_class)
-        spec = replace(spec, **kwargs)
-    elif spec is None:
-        spec = LaunchSpec(kernel_class=default_class)
-    return spec
+def _reduce_op(op: str) -> Callable:
+    if op not in _REDUCE_OPS:
+        raise ValueError(f"unknown reduction op {op!r}")
+    return _REDUCE_OPS[op]
 
 
 @dataclass
@@ -168,14 +155,12 @@ def counters_delta(after: Dict[str, Dict[str, int]],
 
 
 class ExecutionBackend:
-    """Launch primitives shared by the kernel backends and the AMR substrate.
+    """Launch primitives shared by the kernel layer and the AMR substrate.
 
     ``parallel_for(name, fn, npoints, spec)`` runs ``fn`` as one logical
-    device launch over ``npoints`` grid points; ``reduce_data`` is the
-    ``amrex::ReduceData`` analogue.  The public methods normalize the
-    keyword contract (LaunchSpec vs. deprecated loose kwargs) once, here;
-    targets implement only :meth:`_launch` / :meth:`_reduce` and decide
-    whether anything is recorded.
+    launch over ``npoints`` grid points; ``reduce_data`` is the
+    ``amrex::ReduceData`` analogue.  Each target decides whether
+    anything is recorded.
     """
 
     target = "abstract"
@@ -184,23 +169,22 @@ class ExecutionBackend:
     #: checks it to route the RK right-hand side through the fused sweep
     fuses_kernels = False
 
+    #: the simulated GPUs, one per rank (None on non-accounting targets)
+    devices: Optional[List[object]] = None
+
     def parallel_for(self, name: str, fn: Callable, npoints: int,
-                     spec: Optional[LaunchSpec] = None, **kwargs):
-        return self._launch(name, fn, npoints,
-                            _normalize_spec(spec, kwargs, "flux"))
+                     spec: Optional[LaunchSpec] = None):
+        raise NotImplementedError
 
     def reduce_data(self, name: str, values, op: str = "min",
-                    spec: Optional[LaunchSpec] = None, **kwargs) -> float:
-        return self._reduce(name, values, op,
-                            _normalize_spec(spec, kwargs, "reduction"))
-
-    # -- target hooks ------------------------------------------------------
-    def _launch(self, name: str, fn: Callable, npoints: int,
-                spec: LaunchSpec):
+                    spec: Optional[LaunchSpec] = None) -> float:
         raise NotImplementedError
 
-    def _reduce(self, name: str, values, op: str, spec: LaunchSpec) -> float:
-        raise NotImplementedError
+    def reserve(self, per_rank_bytes: Sequence[int]) -> List[object]:
+        """Hold persistent (level-state) residency, ``per_rank_bytes[r]``
+        on rank ``r``'s device; returns handles whose ``free()`` releases
+        it.  Non-accounting targets hold nothing."""
+        return []
 
     # -- accounting (accounting targets only; host returns empties) --------
     @property
@@ -227,34 +211,32 @@ class HostBackend(ExecutionBackend):
 
     target = "host"
 
-    def _launch(self, name, fn, npoints, spec):
+    def parallel_for(self, name, fn, npoints, spec=None):
         return fn()
 
-    def _reduce(self, name, values, op, spec) -> float:
-        if op not in _REDUCE_OPS:
-            raise ValueError(f"unknown reduction op {op!r}")
-        return float(_REDUCE_OPS[op](values))
+    def reduce_data(self, name, values, op="min", spec=None) -> float:
+        return float(_reduce_op(op)(values))
 
 
 class DeviceBackend(ExecutionBackend):
     """Recorded execution on simulated GPUs, one device per rank.
 
-    An explicit ``spec.device`` wins; otherwise ``spec.rank`` selects
-    from the backend's device list (Summit: one V100 per MPI rank).
-    Every launch also feeds a per-kernel-class :class:`LaunchCounter`,
-    and counters merged from pool workers are kept separately
-    (``worker_counters``) so driver-recorded work is never
-    double-counted.
+    ``spec.rank`` selects the launching rank's device (Summit: one V100
+    per MPI rank).  This is the one place a launch is recorded: the body
+    is timed, its :class:`~repro.kernels.device.LaunchRecord` is priced
+    from the launch budget and filed on the device, and a
+    per-kernel-class :class:`LaunchCounter` is bumped.  Counters merged
+    from pool workers are kept separately (``worker_counters``) so
+    driver-recorded work is never double-counted.
     """
 
     target = "device"
 
-    def __init__(self, devices: Optional[List[object]] = None) -> None:
-        if not devices:
-            from repro.kernels.device import GpuDevice
+    def __init__(self, nranks: int = 1) -> None:
+        from repro.kernels.device import GpuDevice
 
-            devices = [GpuDevice()]
-        self.devices = list(devices)
+        self.devices = [GpuDevice(name=f"V100-rank{r}")
+                        for r in range(nranks)]
         self._counters: Dict[str, LaunchCounter] = {}
         self.worker_counters: Dict[str, LaunchCounter] = {}
 
@@ -265,34 +247,64 @@ class DeviceBackend(ExecutionBackend):
     def device_for(self, rank: int):
         return self.devices[rank % len(self.devices)]
 
-    def _budget(self, name: str, budget):
-        if budget is not None:
-            return budget
-        from repro.kernels.counts import budget_for_kernel
+    def reserve(self, per_rank_bytes: Sequence[int]) -> List[object]:
+        return [self.device_for(r).reserve(nbytes)
+                for r, nbytes in enumerate(per_rank_bytes) if nbytes]
 
-        return budget_for_kernel(name)
+    def _record(self, dev, name: str, npoints: int, budget,
+                kernel_class: str, wall_seconds: float) -> None:
+        from repro.kernels.device import LaunchRecord
 
-    def _count(self, kernel_class: str, rec) -> None:
+        # inner cache levels see amplified traffic: each cell is re-read by
+        # every stencil covering it, and the caches absorb most, not all,
+        # of that reuse
+        dram = int(npoints * budget.dram_bytes_per_point)
+        rec = LaunchRecord(
+            name=name,
+            npoints=npoints,
+            flops=int(npoints * budget.flops_per_point),
+            dram_bytes=dram,
+            l2_bytes=int(dram * budget.l2_amplification),
+            l1_bytes=int(dram * budget.l1_amplification),
+            kernel_class=kernel_class,
+        )
+        dev.record(rec, wall_seconds)
         self._counters.setdefault(kernel_class, LaunchCounter()).add_record(rec)
 
-    def _launch(self, name, fn, npoints, spec):
-        dev = spec.device if spec.device is not None else self.device_for(spec.rank)
-        b = self._budget(name, spec.budget)
-        result = dev.launch(
-            name, fn, npoints,
-            flops_per_point=b.flops_per_point,
-            dram_bytes_per_point=b.dram_bytes_per_point,
-            l2_amplification=b.l2_amplification,
-            l1_amplification=b.l1_amplification,
-            kernel_class=spec.kernel_class,
-        )
-        self._count(spec.kernel_class, dev.launches[-1])
+    # the timed windows below cover only the body; scratch reservation,
+    # record construction and listener notification stay outside them so
+    # accounting and observability never inflate charged kernel wall time
+    def parallel_for(self, name, fn, npoints, spec=None):
+        spec = spec or _FLUX_SPEC
+        dev = self.device_for(spec.rank)
+        scratch = dev.reserve(spec.scratch_bytes) if spec.scratch_bytes else None
+        try:
+            t0 = time.perf_counter()
+            result = fn()
+            elapsed = time.perf_counter() - t0
+        finally:
+            if scratch is not None:
+                scratch.free()
+        if spec.budget is not None:
+            budget = spec.budget
+        else:
+            from repro.kernels.counts import budget_for_kernel
+
+            budget = budget_for_kernel(name)
+        self._record(dev, name, npoints, budget, spec.kernel_class, elapsed)
         return result
 
-    def _reduce(self, name, values, op, spec) -> float:
-        dev = spec.device if spec.device is not None else self.device_for(spec.rank)
-        result = dev.reduce(name, values, op=op, kernel_class=spec.kernel_class)
-        self._count(spec.kernel_class, dev.launches[-1])
+    def reduce_data(self, name, values, op="min", spec=None) -> float:
+        from repro.kernels.counts import REDUCE_BUDGET
+
+        spec = spec or _REDUCTION_SPEC
+        reduce = _reduce_op(op)
+        t0 = time.perf_counter()
+        result = float(reduce(values))
+        elapsed = time.perf_counter() - t0
+        self._record(self.device_for(spec.rank), name,
+                     int(np.asarray(values).size), REDUCE_BUDGET,
+                     spec.kernel_class, elapsed)
         return result
 
     # -- worker-counter merging --------------------------------------------
@@ -320,7 +332,7 @@ class UnknownTargetError(ValueError):
     """An execution-target name with no registered factory."""
 
 
-#: name -> factory(devices=None) -> ExecutionBackend, in registration order
+#: name -> factory(nranks=1) -> ExecutionBackend, in registration order
 _TARGET_FACTORIES: Dict[str, Callable[..., ExecutionBackend]] = {}
 
 
@@ -328,8 +340,9 @@ def register_target(name: str, factory: Callable[..., ExecutionBackend], *,
                     override: bool = False) -> None:
     """Register an execution-target factory under ``name``.
 
-    ``factory(devices=None)`` must return a fresh
-    :class:`ExecutionBackend`.  Registering an existing name raises
+    ``factory(nranks=1)`` must return a fresh :class:`ExecutionBackend`
+    for a run of ``nranks`` simulated ranks (accounting targets build
+    one device per rank).  Registering an existing name raises
     unless ``override=True`` (used by tests and downstream forks to swap
     a target implementation in place).
     """
@@ -354,8 +367,7 @@ def available_targets() -> Tuple[str, ...]:
     return tuple(_TARGET_FACTORIES)
 
 
-def make_exec_backend(target: str,
-                      devices: Optional[List[object]] = None) -> ExecutionBackend:
+def make_exec_backend(target: str, nranks: int = 1) -> ExecutionBackend:
     """Build a backend by target name (``backend.target`` / REPRO_BACKEND).
 
     Construction goes through the registry *only*: every target —
@@ -366,7 +378,7 @@ def make_exec_backend(target: str,
         raise UnknownTargetError(
             f"unknown backend target {target!r}; registered targets: "
             f"{', '.join(available_targets())}")
-    return factory(devices=devices)
+    return factory(nranks=nranks)
 
 
 def resolve_target(value: Optional[str], *,
@@ -402,17 +414,8 @@ def resolve_target(value: Optional[str], *,
 
 # the built-in accounting targets; the optimizing `fused` target registers
 # itself from repro.backend.fused (imported by the package __init__)
-register_target("host", lambda devices=None: HostBackend())
-register_target("device", lambda devices=None: DeviceBackend(devices))
-
-
-def __getattr__(name: str):
-    # TARGETS is *derived* from the registry (not a duplicated literal):
-    # late-registered targets show up, and `from ... import TARGETS`
-    # re-executed inside functions always sees the current set
-    if name == "TARGETS":
-        return available_targets()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+register_target("host", lambda nranks=1: HostBackend())
+register_target("device", lambda nranks=1: DeviceBackend(nranks))
 
 
 # -- current-backend context -------------------------------------------------
@@ -437,7 +440,7 @@ def set_backend(backend: Optional[ExecutionBackend]) -> ExecutionBackend:
 
 @contextmanager
 def use_backend(backend: ExecutionBackend):
-    """LaunchContext: activate ``backend`` for the dynamic extent of a block.
+    """Activate ``backend`` for the dynamic extent of a block.
 
     Re-entrant: the previously active backend is restored on exit, so
     nested drivers (e.g. a validation run inside a recorded run) compose.
@@ -450,12 +453,12 @@ def use_backend(backend: ExecutionBackend):
 
 
 def parallel_for(name: str, fn: Callable, npoints: int,
-                 spec: Optional[LaunchSpec] = None, **kwargs):
+                 spec: Optional[LaunchSpec] = None):
     """Launch ``fn`` through the currently active backend."""
-    return current_backend().parallel_for(name, fn, npoints, spec, **kwargs)
+    return current_backend().parallel_for(name, fn, npoints, spec)
 
 
 def reduce_data(name: str, values, op: str = "min",
-                spec: Optional[LaunchSpec] = None, **kwargs) -> float:
+                spec: Optional[LaunchSpec] = None) -> float:
     """Reduce ``values`` through the currently active backend."""
-    return current_backend().reduce_data(name, values, op, spec, **kwargs)
+    return current_backend().reduce_data(name, values, op, spec)

@@ -25,7 +25,7 @@ Deck keys (beyond the ones :class:`repro.io.inputs.InputDeck` maps onto
     run.max_wall_s  = 60             # hard wall budget, seconds
     runtime.executor = serial        # or pool: multiprocessing task runtime
     runtime.workers  = 4             # pool worker count (default: CPU count)
-    backend.target   = auto          # execution backend: host | device |
+    backend.target   = auto          # execution target: host | device |
                                      # fused | auto (or REPRO_BACKEND)
     resilience.watchdog = true       # per-step NaN/positivity/CFL validation
     resilience.max_step_retries = 3  # rollback/retry budget per step
@@ -51,7 +51,8 @@ from repro.cases.ramp import CompressionRamp
 from repro.cases.reacting import IgnitionFront
 from repro.cases.shocktube import SodShockTube
 from repro.cases.vortex import IsentropicVortex
-from repro.core.crocco import ConfigError, Crocco
+from repro.core.crocco import Crocco
+from repro.core.errors import ConfigError
 from repro.io.checkpoint import load_checkpoint, save_checkpoint
 from repro.io.inputs import InputDeck
 from repro.io.plotfile import write_plotfile

@@ -41,6 +41,7 @@ from repro.amr.multifab import MultiFab
 from repro.amr.tagging import tag_density_gradient, tag_momentum_gradient, tagged_cells
 from repro.backend import LaunchSpec
 from repro.cases.base import Case
+from repro.core.errors import ConfigError
 from repro.core.versions import VersionConfig, get_version
 from repro.kernels.api import make_backend
 from repro.mpi.comm import Communicator
@@ -57,12 +58,6 @@ INTERPOLATORS = {
     "conservative": ConservativeLinearInterp,
     "weno": WenoInterp,
 }
-
-
-# ConfigError moved to repro.core.errors so the execution-backend target
-# resolver can raise it without importing the driver; re-exported here
-# because this was its historical home and callers import it from both.
-from repro.core.errors import ConfigError  # noqa: E402,F401
 
 
 def _workers_from_env() -> Optional[int]:
@@ -241,18 +236,11 @@ class Crocco(AmrCore):
         comm = Communicator(self.config.nranks, self.config.ranks_per_node)
         super().__init__(case.geometry0(), amr_cfg, comm)
 
-        # one simulated GPU per rank (Summit: one V100 per MPI rank)
-        self.devices = None
-        if self.version.on_gpu:
-            from repro.kernels.device import GpuDevice
-
-            self.devices = [GpuDevice(name=f"V100-rank{r}")
-                            for r in range(comm.nranks)]
-
-        # execution backend: every launch — flux kernels and the AMR
-        # substrate alike — routes through this shared target.  The
-        # single resolver handles deck key / env var / CLI flag alike
-        # and reports unknown targets as ConfigError (CLI exit 2).
+        # execution target: every launch — flux kernels and the AMR
+        # substrate alike — routes through it, and accounting targets own
+        # the simulated GPUs (one per rank).  The single resolver handles
+        # deck key / env var / CLI flag alike and reports unknown targets
+        # as ConfigError (CLI exit 2).
         from repro.backend import make_exec_backend, resolve_target
 
         source = ("REPRO_BACKEND" if os.environ.get("REPRO_BACKEND")
@@ -260,29 +248,17 @@ class Crocco(AmrCore):
                   == os.environ.get("REPRO_BACKEND")
                   else "backend.target")
         target = resolve_target(self.config.backend_target,
-                                version_default=self.version.exec_target,
+                                version_default=self.version.target,
                                 source=source)
         self.backend_target = target
-        backend_devices = self.devices
-        if target != "host" and backend_devices is None:
-            # a CPU version forced onto an accounting target (device or
-            # fused) gets accounting devices of its own; self.devices
-            # stays None so the residency and memory-report logic keeps
-            # its CPU-version behavior
-            from repro.kernels.device import GpuDevice
-
-            backend_devices = [GpuDevice(name=f"V100-rank{r}")
-                               for r in range(comm.nranks)]
-            self._backend_devices = backend_devices
-        self.exec_backend = make_exec_backend(target, backend_devices)
+        self.exec_backend = make_exec_backend(target, comm.nranks)
 
         self.kernels = make_backend(
-            self.version.backend,
+            self.version.ordering,
             case.layout,
             case.eos,
             convective=ConvectiveFlux(scheme=WenoScheme(variant=self.config.weno_variant)),
             viscous=case.viscous,
-            device=self.devices[0] if self.devices else None,
             exec_backend=self.exec_backend,
         )
         self.ng = self.kernels.nghost
@@ -296,7 +272,7 @@ class Crocco(AmrCore):
         self.du: Dict[int, MultiFab] = {}
         self.coords: Dict[int, MultiFab] = {}
         self.metrics: Dict[int, Dict[int, object]] = {}
-        self._residency: Dict[int, object] = {}
+        self._residency: Dict[int, list] = {}
         self._coords_file: Optional[str] = None
 
         self.time = 0.0
@@ -484,20 +460,14 @@ class Crocco(AmrCore):
                         CurvilinearMetrics.from_coordinates(fab.whole()))
             else:
                 self.metrics[lev][i] = CartesianMetrics(self.case.cartesian_dx(geom))
-        if self.devices is not None:
-            # register each rank's share of the level on its own GPU
-            handles = []
-            per_rank = [0] * self.comm.nranks
-            for i, fab in self.state[lev]:
-                r = self.state[lev].dm[i]
-                per_rank[r] += (fab.nbytes() + self.du[lev].fab(i).nbytes()
-                                + coords.fab(i).nbytes())
-            for r, nbytes in enumerate(per_rank):
-                if nbytes:
-                    handles.append(
-                        self.kernels.register_state(nbytes, self.devices[r])
-                    )
-            self._residency[lev] = handles
+        # each rank's share of the level is resident on its own GPU
+        # (accounting targets only; host reserves nothing)
+        per_rank = [0] * self.comm.nranks
+        for i, fab in self.state[lev]:
+            per_rank[self.state[lev].dm[i]] += (
+                fab.nbytes() + self.du[lev].fab(i).nbytes()
+                + coords.fab(i).nbytes())
+        self._residency[lev] = self.exec_backend.reserve(per_rank)
         engine = getattr(self, "engine", None)
         if engine is not None:
             engine.adopt_level(lev)
@@ -520,7 +490,7 @@ class Crocco(AmrCore):
             engine.release_level(lev)
         for store in (self.state, self.du, self.coords, self.metrics):
             store.pop(lev, None)
-        for handle in self._residency.pop(lev, []) or []:
+        for handle in self._residency.pop(lev, []):
             handle.free()
 
     # -- boundary conditions ---------------------------------------------
@@ -563,7 +533,7 @@ class Crocco(AmrCore):
     def step(self) -> None:
         from repro.backend import use_backend
 
-        # the LaunchContext routes every AMR-substrate launch of this step
+        # use_backend routes every AMR-substrate launch of this step
         # (regrid, FillPatch, tagging, ComputeDt, ...) to the configured
         # execution backend
         with use_backend(self.exec_backend):
@@ -621,11 +591,10 @@ class Crocco(AmrCore):
                 for i, fab in mf:
                     # valid region only: ghost cells can be stale right
                     # after a regrid, before the stage's FillPatch
+                    rank = mf.dm[i]
                     r = self.kernels.max_rate(
                         fab.valid(), self.metrics[lev][i].interior(self.ng),
-                        device=self._device_of(mf.dm[i]),
-                    )
-                    rank = mf.dm[i]
+                        rank=rank)
                     rates[rank] = max(rates[rank], r)
             cfl = self.config.cfl if self.config.cfl is not None else self.case.cfl
             return compute_dt(rates, cfl, self.comm)
@@ -647,9 +616,10 @@ class Crocco(AmrCore):
                 self.engine.run_stage(dt, stage)
             self.engine.end_step()
 
-    def _device_of(self, rank: int):
-        """The owning rank's simulated GPU (None on CPU backends)."""
-        return self.devices[rank] if self.devices is not None else None
+    @property
+    def devices(self):
+        """The target's simulated GPUs, one per rank (None on host)."""
+        return self.exec_backend.devices
 
     def gpu_memory_report(self):
         """Per-rank simulated device memory (bytes in use, high water)."""

@@ -1,14 +1,19 @@
 """The CRoCCo version matrix (Sec. V-C of the paper).
 
 =======  ========  ====  ===========  ==========================
-Version  Kernels   AMR   Where        Interpolator
+Version  Ordering  AMR   Target       Interpolator
 =======  ========  ====  ===========  ==========================
-1.0      Fortran   off   CPU          --
-1.1      C++       off   CPU          --
-1.2      C++       on    CPU          custom curvilinear
-2.0      C++       on    GPU          custom curvilinear
-2.1      C++       on    GPU          AMReX trilinear (built-in)
+1.0      fortran   off   host         --
+1.1      cpp       off   host         --
+1.2      cpp       on    host         custom curvilinear
+2.0      cpp       on    device       custom curvilinear
+2.1      cpp       on    device       AMReX trilinear (built-in)
 =======  ========  ====  ===========  ==========================
+
+The two axes are the paper's two port steps (Sec. IV): the summation
+*ordering* of the kernels (Fortran -> C++) and the default execution
+*target* (CPU -> GPU, which changes no arithmetic).  ``auto`` resolves
+to the version's target; any registered target can be forced instead.
 
 2.1 is the ParallelCopy ablation: swapping the custom curvilinear
 interpolator for the built-in trilinear one removes the global
@@ -26,19 +31,15 @@ class VersionConfig:
     """Capability switches of one CRoCCo version."""
 
     name: str
-    backend: str  # kernel backend: fortran | cpp | gpu
+    ordering: str  # kernel summation ordering: fortran | cpp
+    target: str  # default execution target: host | device
     amr: bool
     interpolator: str  # "curvilinear" | "trilinear" | "conservative" | "weno"
 
     @property
     def on_gpu(self) -> bool:
-        return self.backend == "gpu"
-
-    @property
-    def exec_target(self) -> str:
-        """Default execution-backend target: recorded device launches for
-        the GPU versions, plain host execution for the CPU ones."""
-        return "device" if self.on_gpu else "host"
+        """The paper ran this version on the GPUs (one rank per GPU)."""
+        return self.target != "host"
 
     @property
     def uses_global_parallelcopy(self) -> bool:
@@ -47,11 +48,11 @@ class VersionConfig:
 
 
 VERSIONS: Dict[str, VersionConfig] = {
-    "1.0": VersionConfig("1.0", backend="fortran", amr=False, interpolator="curvilinear"),
-    "1.1": VersionConfig("1.1", backend="cpp", amr=False, interpolator="curvilinear"),
-    "1.2": VersionConfig("1.2", backend="cpp", amr=True, interpolator="curvilinear"),
-    "2.0": VersionConfig("2.0", backend="gpu", amr=True, interpolator="curvilinear"),
-    "2.1": VersionConfig("2.1", backend="gpu", amr=True, interpolator="trilinear"),
+    "1.0": VersionConfig("1.0", "fortran", "host", amr=False, interpolator="curvilinear"),
+    "1.1": VersionConfig("1.1", "cpp", "host", amr=False, interpolator="curvilinear"),
+    "1.2": VersionConfig("1.2", "cpp", "host", amr=True, interpolator="curvilinear"),
+    "2.0": VersionConfig("2.0", "cpp", "device", amr=True, interpolator="curvilinear"),
+    "2.1": VersionConfig("2.1", "cpp", "device", amr=True, interpolator="trilinear"),
 }
 
 

@@ -1,21 +1,21 @@
-"""The CRoCCo numerics kernels in their three "ported" forms.
+"""The CRoCCo numerics kernels and the simulated GPU they are accounted on.
 
 The paper's port proceeds Fortran -> C++ -> GPU (Sec. IV).  We reproduce
-the *software structure* of that port:
+the *software structure* of that port on two independent axes:
 
-- every kernel (WENOx, WENOy, WENOz, Viscous, Update, ComputeDt) is
-  invoked through a backend (:mod:`repro.kernels.backends`) named
-  ``fortran``, ``cpp`` or ``gpu``;
-- the ``fortran`` and ``cpp`` backends compute identical mathematics with
+- every kernel (WENOx, WENOy, WENOz, Viscous, Update, ComputeDt) belongs
+  to a :class:`~repro.kernels.api.KernelSet` in one summation
+  *ordering*, ``fortran`` or ``cpp``: identical mathematics with
   different floating-point accumulation orders, reproducing the mechanism
   behind the paper's ~1e-7 L2-norm drift between languages;
-- the ``gpu`` backend evaluates the same arithmetic as ``cpp`` (the paper
-  reports no accuracy change on GPU) but executes through a simulated
-  device (:mod:`repro.kernels.device`): scratch arrays are allocated in
+- every kernel is a launch on an *execution target*
+  (:mod:`repro.backend`: ``host``, ``device`` or ``fused``).  The
+  accounting targets run the same arithmetic on simulated GPUs
+  (:mod:`repro.kernels.device`), one per rank: scratch is reserved in
   "global memory" before launch (never inside kernels), launches are
-  recorded with flop/byte counts for the roofline model, and device-memory
-  capacity is enforced — reproducing the 16 GB V100 limit that shaped the
-  paper's problem sizes.
+  recorded with flop/byte counts for the roofline model, and
+  device-memory capacity is enforced — reproducing the 16 GB V100 limit
+  that shaped the paper's problem sizes.
 """
 
 from repro.kernels.device import DeviceMemoryError, GpuDevice

@@ -1,8 +1,11 @@
-"""Kernel backends: the Fortran -> C++ -> GPU port, functionally.
+"""The per-patch kernel set: one solver's kernels in one summation ordering.
 
 A :class:`KernelSet` bundles the per-patch kernels CRoCCo's RK3 advance
 calls (Algorithm 2): ``WENOx/y/z``, ``Viscous``, ``Update``, plus the
-``ComputeDt`` rate estimate.  Three backends exist:
+``ComputeDt`` rate estimate.  The paper's port makes two independent
+changes (Sec. IV), and the repo models them on two independent axes:
+
+**Ordering** (this module) — the Fortran -> C++ translation.
 
 ``fortran``
     The original kernel organization: the RK right-hand side accumulates
@@ -13,36 +16,28 @@ calls (Algorithm 2): ``WENOx/y/z``, ``Viscous``, ``Update``, plus the
     The translated kernels.  Mathematically identical, but the compiler
     re-associates differently: we model this by accumulating the direction
     sweeps in reverse order and pairing additions differently.  Running
-    both backends on the same problem produces a small floating-point
+    both orderings on the same problem produces a small floating-point
     drift whose L2 norm plateaus near machine-precision-amplified levels —
     the paper's 1e-7 validation criterion (Sec. IV-A).
 
-``gpu``
-    Same arithmetic as ``cpp`` (the paper observed no accuracy change on
-    GPU), but executed through the simulated device: per-patch state is
-    resident in device memory, scratch arrays are allocated host-side
-    before launch, each kernel is a recorded launch with flop/byte
-    budgets, and reductions use the device ``ReduceData`` path.
+**Execution target** (:mod:`repro.backend`) — the move to the GPU, which
+changes no arithmetic.  Every kernel is a ``parallel_for``/``reduce_data``
+launch on the KernelSet's ``exec_backend``; the kernels pass the
+launching ``rank`` and never see a device.  The target alone decides
+where the launch runs and whether it is accounted (device residency,
+scratch reservations, launch records).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from repro.backend import (DeviceBackend, ExecutionBackend, HostBackend,
-                           LaunchSpec)
-from repro.kernels.counts import (
-    BUDGETS,
-    COMPUTEDT_BUDGET,
-    UPDATE_BUDGET,
-    VISCOUS_BUDGET,
-    WENO_BUDGET,
-    fused_weno_budget,
-)
-from repro.kernels.device import GpuDevice
+from repro.backend import ExecutionBackend, HostBackend, LaunchSpec
+from repro.kernels.counts import (UPDATE_BUDGET, VISCOUS_BUDGET, WENO_BUDGET,
+                                  fused_weno_budget)
 from repro.numerics.cfl import local_max_rate
 from repro.numerics.fluxes import ConvectiveFlux
 from repro.numerics.metrics import Metrics
@@ -50,52 +45,32 @@ from repro.numerics.rk3 import rk3_stage
 from repro.numerics.state import StateLayout
 from repro.numerics.viscous import ViscousFlux
 
-BACKENDS = ("fortran", "cpp", "gpu")
+ORDERINGS = ("fortran", "cpp")
 
 DIRECTION_NAMES = ("WENOx", "WENOy", "WENOz")
 
 
 @dataclass
 class KernelSet:
-    """Backend-specific kernel implementations for one solver configuration."""
+    """One solver configuration's kernels in one summation ordering."""
 
-    backend: str
+    ordering: str
     layout: StateLayout
     eos: object
     convective: ConvectiveFlux
     viscous: Optional[ViscousFlux] = None
-    device: Optional[GpuDevice] = None
-    #: "double" or "mixed": mixed precision (a paper future-work item,
-    #: Sec. VI-A) evaluates the flux kernels in float32 on the gpu backend
-    #: while keeping the state and the RK update in float64
-    precision: str = "double"
-    #: the execution backend launches route through; defaults to a device
-    #: backend over this KernelSet's device on gpu, a host backend otherwise
-    exec_backend: Optional[ExecutionBackend] = None
+    #: the execution target every launch routes through
+    exec_backend: ExecutionBackend = field(default_factory=HostBackend)
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            raise ValueError(f"unknown backend {self.backend!r}; options {BACKENDS}")
-        if self.precision not in ("double", "mixed"):
-            raise ValueError("precision must be 'double' or 'mixed'")
-        if self.precision == "mixed" and self.backend != "gpu":
-            raise ValueError("mixed precision is a GPU-backend experiment")
-        if self.backend == "gpu" and self.device is None:
-            self.device = GpuDevice()
-        if self.exec_backend is None:
-            self.exec_backend = (DeviceBackend([self.device])
-                                 if self.backend == "gpu" else HostBackend())
-        # the translated (cpp/gpu) kernels evaluate the LF split in the
+        if self.ordering not in ORDERINGS:
+            raise ValueError(
+                f"unknown ordering {self.ordering!r}; options {ORDERINGS}")
+        # the translated (cpp) kernels evaluate the LF split in the
         # re-associated form — the fortran/C++ floating-point divergence
-        from dataclasses import replace
-
-        want = "fused" if self.backend == "fortran" else "distributed"
+        want = "fused" if self.ordering == "fortran" else "distributed"
         if self.convective.split_form != want:
             self.convective = replace(self.convective, split_form=want)
-
-    @property
-    def on_gpu(self) -> bool:
-        return self.backend == "gpu"
 
     @property
     def nghost(self) -> int:
@@ -104,64 +79,52 @@ class KernelSet:
             ng = max(ng, self.viscous.nghost)
         return ng
 
+    def _scratch_bytes(self, u: np.ndarray) -> int:
+        """Global-memory scratch one WENO launch stages intermediates in:
+        a full conserved-variable array over the patch (Sec. IV-B)."""
+        return self.layout.ncons * int(np.prod(u.shape[1:])) * 8
+
     # -- RHS evaluation --------------------------------------------------
     def rhs(self, u: np.ndarray, metrics: Metrics, ng: int,
-            device: Optional[GpuDevice] = None) -> np.ndarray:
+            rank: int = 0) -> np.ndarray:
         """Full right-hand side over the valid region of one patch.
 
         The accumulation *order* of direction sweeps differs between the
-        fortran and cpp/gpu backends (see module docstring): a deliberate,
-        faithful source of floating-point divergence.  ``device`` selects
-        the executing GPU (Summit runs one rank per GPU); defaults to the
-        KernelSet's own device.
+        fortran and cpp orderings (see module docstring): a deliberate,
+        faithful source of floating-point divergence.  ``rank`` is the
+        patch owner, whose device the target launches on.
         """
-        dev = device if device is not None else self.device
-        dim = self.layout.dim
-        if self.precision == "mixed":
-            # flux kernels evaluate in single precision; the state stays
-            # double and the update accumulates in double (the standard
-            # mixed-precision recipe the paper lists as future work)
-            u = u.astype(np.float32).astype(np.float64)
-        if (getattr(self.exec_backend, "fuses_kernels", False)
+        if (self.exec_backend.fuses_kernels
                 and not self.convective.characteristic):
             # the fused target collapses the per-direction sweeps into
             # one wide launch with shared primitives and cached scratch
-            out = self._fused_sweep(u, metrics, ng, dev)
+            out = self._fused_sweep(u, metrics, ng, rank)
         else:
-            directions = (range(dim) if self.backend == "fortran"
+            dim = self.layout.dim
+            directions = (range(dim) if self.ordering == "fortran"
                           else range(dim - 1, -1, -1))
             out = None
             for d in directions:
-                contrib = self._weno_direction(u, metrics, d, ng, dev)
+                contrib = self._weno_direction(u, metrics, d, ng, rank)
                 out = contrib if out is None else out + contrib
         if self.viscous is not None:
-            out = out + self._viscous(u, metrics, ng, dev)
+            out = out + self._viscous(u, metrics, ng, rank)
         assert out is not None
-        if self.precision == "mixed":
-            out = out.astype(np.float32).astype(np.float64)
         return out
 
     def _weno_direction(self, u: np.ndarray, metrics: Metrics, d: int,
-                        ng: int, device: Optional[GpuDevice] = None) -> np.ndarray:
-        name = DIRECTION_NAMES[d]
-        dev = device if device is not None else self.device
-        body = lambda: self.convective.divergence(
-            self.layout, self.eos, u, metrics, d, ng)
+                        ng: int, rank: int) -> np.ndarray:
         npts = int(np.prod([s - 2 * ng for s in u.shape[1:]]))
-        spec = LaunchSpec(kernel_class="flux", budget=WENO_BUDGET,
-                          device=dev, shape=u.shape)
-        if self.on_gpu:
-            # scratch arrays live in device global memory, allocated from
-            # the host before launch (Sec. IV-B)
-            scratch = dev.alloc((self.layout.ncons,) + u.shape[1:])
-            try:
-                return self.exec_backend.parallel_for(name, body, npts, spec)
-            finally:
-                scratch.free()
-        return self.exec_backend.parallel_for(name, body, npts, spec)
+        return self.exec_backend.parallel_for(
+            DIRECTION_NAMES[d],
+            lambda: self.convective.divergence(
+                self.layout, self.eos, u, metrics, d, ng),
+            npts, LaunchSpec(kernel_class="flux", budget=WENO_BUDGET,
+                             rank=rank, shape=u.shape,
+                             scratch_bytes=self._scratch_bytes(u)))
 
     def _fused_sweep(self, u: np.ndarray, metrics: Metrics, ng: int,
-                     device: Optional[GpuDevice] = None) -> np.ndarray:
+                     rank: int) -> np.ndarray:
         """One wide launch for all directional sweeps (fused target).
 
         The launch is named ``WENOxy``/``WENOxyz`` and covers
@@ -172,108 +135,62 @@ class KernelSet:
 
         backend = self.exec_backend
         dim = self.layout.dim
-        dev = device if device is not None else self.device
-        name = "WENO" + "xyz"[:dim]
         npts = dim * int(np.prod([s - 2 * ng for s in u.shape[1:]]))
-        scratch = getattr(backend, "scratch", None)
-        if scratch is None:
-            from repro.backend import ScratchCache
-
-            scratch = self._local_scratch = getattr(
-                self, "_local_scratch", None) or ScratchCache()
         body = lambda: fused_sweep(
             self.layout, self.eos, self.convective, u, metrics, ng,
-            scratch, jit=getattr(backend, "jit_enabled", False),
-            reverse=(self.backend != "fortran"))
-        spec = LaunchSpec(kernel_class="flux", budget=fused_weno_budget(dim),
-                          device=dev, shape=u.shape)
-        if self.on_gpu:
-            dscratch = dev.alloc((self.layout.ncons,) + u.shape[1:])
-            try:
-                return backend.parallel_for(name, body, npts, spec)
-            finally:
-                dscratch.free()
-        return backend.parallel_for(name, body, npts, spec)
+            backend.scratch, jit=backend.jit_enabled,
+            reverse=(self.ordering != "fortran"))
+        return backend.parallel_for(
+            "WENO" + "xyz"[:dim], body, npts,
+            LaunchSpec(kernel_class="flux", budget=fused_weno_budget(dim),
+                       rank=rank, shape=u.shape,
+                       scratch_bytes=self._scratch_bytes(u)))
 
     def _viscous(self, u: np.ndarray, metrics: Metrics, ng: int,
-                 device: Optional[GpuDevice] = None) -> np.ndarray:
+                 rank: int) -> np.ndarray:
         assert self.viscous is not None
-        dev = device if device is not None else self.device
         npts = int(np.prod([s - 2 * ng for s in u.shape[1:]]))
         return self.exec_backend.parallel_for(
             "Viscous",
             lambda: self.viscous.divergence(self.layout, self.eos, u,
                                             metrics, ng),
             npts, LaunchSpec(kernel_class="flux", budget=VISCOUS_BUDGET,
-                             device=dev, shape=u.shape))
+                             rank=rank, shape=u.shape))
 
     # -- RK update kernel -----------------------------------------------------
     def update(self, u_valid: np.ndarray, du: np.ndarray, rhs: np.ndarray,
-               dt: float, stage: int,
-               device: Optional[GpuDevice] = None) -> None:
+               dt: float, stage: int, rank: int = 0) -> None:
         """Low-storage RK stage over one patch's valid region, in place."""
-        dev = device if device is not None else self.device
         npts = int(np.prod(u_valid.shape[1:]))
         self.exec_backend.parallel_for(
             "Update",
             lambda: rk3_stage(u_valid, du, rhs, dt, stage),
             npts, LaunchSpec(kernel_class="update", budget=UPDATE_BUDGET,
-                             device=dev, shape=u_valid.shape))
+                             rank=rank, shape=u_valid.shape))
 
     # -- ComputeDt ----------------------------------------------------------
     def max_rate(self, u: np.ndarray, metrics: Metrics,
-                 device: Optional[GpuDevice] = None) -> float:
-        """Patch CFL rate, via the backend ReduceData (a recorded device
-        reduction on the gpu backend, plain NumPy on the host target)."""
-        dev = device if device is not None else self.device
+                 rank: int = 0) -> float:
+        """Patch CFL rate, via the target's ReduceData (a recorded device
+        reduction on accounting targets, plain NumPy on host)."""
         return local_max_rate(self.layout, self.eos, u, metrics,
-                              backend=self.exec_backend, device=dev)
-
-    # -- device residency ----------------------------------------------------
-    def register_state(self, nbytes: int,
-                       device: Optional[GpuDevice] = None):
-        """Account persistent state residency in device memory.
-
-        Returns a handle whose ``free()`` releases the bytes; the caller
-        (the CRoCCo driver) registers each patch's storage on the owning
-        rank's GPU when a level is created on the gpu backend.
-        """
-        if not self.on_gpu:
-            return None
-        return _Residency(device if device is not None else self.device, nbytes)
-
-
-class _Residency:
-    """Persistent device-memory reservation for level state."""
-
-    def __init__(self, device: GpuDevice, nbytes: int) -> None:
-        self._device = device
-        self._nbytes = nbytes
-        device._allocate(nbytes)
-        self._freed = False
-
-    def free(self) -> None:
-        if not self._freed:
-            self._device._release(self._nbytes)
-            self._freed = True
+                              backend=self.exec_backend, rank=rank)
 
 
 def make_backend(
-    backend: str,
+    ordering: str,
     layout: StateLayout,
     eos,
     convective: Optional[ConvectiveFlux] = None,
     viscous: Optional[ViscousFlux] = None,
-    device: Optional[GpuDevice] = None,
     exec_backend: Optional[ExecutionBackend] = None,
 ) -> KernelSet:
     """Convenience constructor with default operators."""
     return KernelSet(
-        backend=backend,
+        ordering=ordering,
         layout=layout,
         eos=eos,
         convective=convective if convective is not None else ConvectiveFlux(),
         viscous=viscous,
-        device=device,
-        exec_backend=exec_backend,
+        exec_backend=exec_backend if exec_backend is not None else HostBackend(),
     )

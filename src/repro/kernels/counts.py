@@ -92,6 +92,17 @@ COMPUTEDT_BUDGET = KernelBudget(
     registers_per_thread=64,
 )
 
+#: a ReduceData launch: one flop and one 8-byte read per reduced value
+#: at every memory level (the reduction has no stencil reuse)
+REDUCE_BUDGET = KernelBudget(
+    name="Reduce",
+    flops_per_point=1.0,
+    dram_bytes_per_point=8.0,
+    l2_amplification=1.0,
+    l1_amplification=1.0,
+    registers_per_thread=32,
+)
+
 # -- AMR-substrate budgets ---------------------------------------------------
 # The FillPatch/regrid machinery is copy-dominated: a couple of flops per
 # point (index arithmetic is free on the roofline; the nonzero count keeps

@@ -1,27 +1,26 @@
-"""Simulated GPU device: memory arena, launch records, reductions.
+"""Simulated GPU device: memory arena and launch-record store.
 
 We have no physical GPU, so this module supplies the *behavioral* device
-the GPU backend runs on:
+the accounting execution targets (:mod:`repro.backend`) launch on, one
+per simulated MPI rank:
 
 - a global-memory allocator with a hard capacity (16 GB on a Summit V100),
   raising :class:`DeviceMemoryError` exactly where the real code would
   fault — the paper reports grid counts beyond 2.0e5 points spilling V100
   memory, which shaped both scaling studies;
-- kernel-launch records (name, points, flops, bytes at each memory level)
-  that feed the hierarchical roofline model of Fig. 4;
-- an ``amrex::ParallelFor``-style launch helper and an
-  ``amrex::ReduceData``-style reduction helper, mirroring the API the
-  paper ports its kernels onto.
+- the kernel-launch records (name, points, flops, bytes at each memory
+  level) that feed the hierarchical roofline model of Fig. 4, plus the
+  listeners notified of each one.
 
-Arithmetic runs on the host NumPy arrays; only the accounting is
-simulated.
+The device never runs anything: :class:`~repro.backend.DeviceBackend`
+times each launch body on the host NumPy arrays, builds its
+:class:`LaunchRecord` and files it here.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -48,35 +47,38 @@ class LaunchRecord:
     kernel_class: str = "flux"
 
 
-class DeviceArray:
-    """A NumPy array accounted against the device arena."""
+class Reservation:
+    """Bytes held against the device arena until ``free()``."""
 
-    def __init__(self, device: "GpuDevice", shape: Tuple[int, ...],
-                 dtype=np.float64) -> None:
+    def __init__(self, device: "GpuDevice", nbytes: int) -> None:
         self._device = device
-        self.data = np.zeros(shape, dtype=dtype)
-        self._nbytes = self.data.nbytes
-        device._allocate(self._nbytes)
+        self.nbytes = nbytes
+        device._allocate(nbytes)
         self._freed = False
-
-    @property
-    def nbytes(self) -> int:
-        return self._nbytes
 
     def free(self) -> None:
         if not self._freed:
-            self._device._release(self._nbytes)
+            self._device._release(self.nbytes)
             self._freed = True
 
-    def __enter__(self) -> "DeviceArray":
+    def __enter__(self) -> "Reservation":
         return self
 
     def __exit__(self, *exc) -> None:
         self.free()
 
 
+class DeviceArray(Reservation):
+    """A NumPy array accounted against the device arena."""
+
+    def __init__(self, device: "GpuDevice", shape: Tuple[int, ...],
+                 dtype=np.float64) -> None:
+        self.data = np.zeros(shape, dtype=dtype)
+        super().__init__(device, self.data.nbytes)
+
+
 class GpuDevice:
-    """A simulated accelerator with bounded memory and launch accounting."""
+    """A simulated accelerator: bounded memory plus its launch records."""
 
     def __init__(self, name: str = "V100",
                  memory_bytes: int = V100_MEMORY_BYTES) -> None:
@@ -99,7 +101,9 @@ class GpuDevice:
         if listener in self._listeners:
             self._listeners.remove(listener)
 
-    def _notify_launch(self, rec: LaunchRecord, wall_seconds: float) -> None:
+    def record(self, rec: LaunchRecord, wall_seconds: float) -> None:
+        """File one launch record and notify the listeners."""
+        self.launches.append(rec)
         for listener in self._listeners:
             listener.on_launch(self, rec, wall_seconds)
 
@@ -120,79 +124,23 @@ class GpuDevice:
             raise RuntimeError("device arena double free")
 
     def alloc(self, shape: Tuple[int, ...], dtype=np.float64) -> DeviceArray:
-        """Allocate a scratch array in device global memory.
-
-        Per the paper (Sec. IV-B), scratch arrays are allocated from the
-        *host* before kernel launch — dynamic allocation inside a GPU
-        kernel is a major performance impediment — so the backend calls
-        this up front and passes arrays into launches.
-        """
+        """Allocate a zero-filled array in device global memory."""
         return DeviceArray(self, shape, dtype)
+
+    def reserve(self, nbytes: int) -> Reservation:
+        """Account ``nbytes`` of device memory without a host array.
+
+        The accounting targets hold level-state residency and per-launch
+        scratch this way: the arithmetic runs on host arrays the driver
+        already owns, so only the bytes need tracking.
+        """
+        return Reservation(self, nbytes)
 
     def upload(self, arr: np.ndarray) -> DeviceArray:
         """Copy a host array to the device (accounted allocation + copy)."""
         d = DeviceArray(self, arr.shape, arr.dtype)
         d.data[...] = arr
         return d
-
-    # -- launches ----------------------------------------------------------
-    def launch(
-        self,
-        name: str,
-        fn: Callable[[], Optional[np.ndarray]],
-        npoints: int,
-        flops_per_point: float,
-        dram_bytes_per_point: float,
-        l2_amplification: float = 1.6,
-        l1_amplification: float = 4.0,
-        kernel_class: str = "flux",
-    ):
-        """Run ``fn`` as one recorded kernel launch (ParallelFor semantics).
-
-        ``l2_amplification``/``l1_amplification`` model how much more
-        traffic the stencil kernels generate at the inner cache levels than
-        at DRAM (each cell is re-read by every stencil that covers it; the
-        caches absorb most but not all of the reuse).
-        """
-        # the timed window covers only fn(); record construction and
-        # listener notification happen after `elapsed` is taken so
-        # observability overhead never inflates charged kernel wall time
-        t0 = time.perf_counter()
-        result = fn()
-        elapsed = time.perf_counter() - t0
-        dram = int(npoints * dram_bytes_per_point)
-        rec = LaunchRecord(
-            name=name,
-            npoints=npoints,
-            flops=int(npoints * flops_per_point),
-            dram_bytes=dram,
-            l2_bytes=int(dram * l2_amplification),
-            l1_bytes=int(dram * l1_amplification),
-            kernel_class=kernel_class,
-        )
-        self.launches.append(rec)
-        self._notify_launch(rec, elapsed)
-        return result
-
-    def reduce(self, name: str, values: np.ndarray, op: str = "min",
-               kernel_class: str = "reduction") -> float:
-        """amrex::ReduceData-style device reduction (used by ComputeDt)."""
-        ops = {"min": np.min, "max": np.max, "sum": np.sum}
-        if op not in ops:
-            raise ValueError(f"unknown reduction op {op!r}")
-        n = int(np.asarray(values).size)
-        # listeners fire outside the timed window (see launch())
-        t0 = time.perf_counter()
-        result = float(ops[op](values))
-        elapsed = time.perf_counter() - t0
-        rec = LaunchRecord(
-            name=name, npoints=n, flops=n,
-            dram_bytes=n * 8, l2_bytes=n * 8, l1_bytes=n * 8,
-            kernel_class=kernel_class,
-        )
-        self.launches.append(rec)
-        self._notify_launch(rec, elapsed)
-        return result
 
     # -- summaries --------------------------------------------------------
     def launches_by_kernel(self) -> Dict[str, List[LaunchRecord]]:

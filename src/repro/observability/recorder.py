@@ -58,11 +58,8 @@ class RunRecorder:
             self.metrics, sim.comm.ranks_per_node
         )
         sim.comm.ledger.add_listener(self.ledger_adapter)
-        # CPU versions forced onto the device backend target keep their
-        # accounting devices in _backend_devices (sim.devices stays None)
-        devices = sim.devices or getattr(sim, "_backend_devices", None)
-        if devices is not None:
-            for r, dev in enumerate(devices):
+        if sim.devices is not None:
+            for r, dev in enumerate(sim.devices):
                 dev.add_listener(
                     DeviceMetricsAdapter(self.metrics, rank=r,
                                          tracer=self.tracer)
@@ -90,10 +87,9 @@ class RunRecorder:
         g("regrids").set(getattr(sim, "regrid_count", 0))
         tag_counts = getattr(sim, "last_tag_counts", {})
         g("tagged_cells").set(sum(tag_counts.values()))
-        devices = sim.devices or getattr(sim, "_backend_devices", None)
-        if devices is not None:
+        if sim.devices is not None:
             g("device.high_water_bytes.max").set(
-                max(d.high_water for d in devices)
+                max(d.high_water for d in sim.devices)
             )
         # execution-backend accounting: cumulative per-kernel-class launch
         # counters (driver-recorded plus counters merged from pool workers)
@@ -165,7 +161,8 @@ class RunRecorder:
                 "nranks": sim.comm.nranks,
                 "ranks_per_node": sim.comm.ranks_per_node,
                 "max_level": cfg.max_level,
-                "backend": sim.kernels.backend,
+                "target": sim.backend_target,
+                "ordering": sim.kernels.ordering,
                 "executor": getattr(sim, "engine", None).name
                 if getattr(sim, "engine", None) is not None else "serial",
             }

@@ -23,7 +23,6 @@ from repro.amr.parallelcopy import parallel_copy
 from repro.amr.tagging import (tag_density_gradient, tag_momentum_gradient,
                                tag_value_threshold)
 from repro.backend import DeviceBackend, use_backend
-from repro.kernels.device import GpuDevice
 from repro.mpi.comm import Communicator
 
 
@@ -59,7 +58,7 @@ def two_level(seed=0, ncomp=1, nranks=2):
 
 
 def device_backend():
-    return DeviceBackend([GpuDevice()])
+    return DeviceBackend()
 
 
 def launch_names(backend):

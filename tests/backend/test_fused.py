@@ -9,7 +9,8 @@ from repro.backend import ScratchCache, make_exec_backend
 from repro.backend.fused import JIT_MODES, FusedBackend, numba_available
 from repro.cases.dmr import DoubleMachReflection
 from repro.cases.shocktube import SodShockTube
-from repro.core.crocco import ConfigError, Crocco, CroccoConfig
+from repro.core.crocco import Crocco, CroccoConfig
+from repro.core.errors import ConfigError
 from repro.core.validation import flow_variables, l2_difference
 from repro.kernels.fused import combine_into, stencil_tables
 from repro.numerics.weno import (CANDIDATE_OFFSETS, WenoScheme,
@@ -234,8 +235,7 @@ class TestFusedLaunchStream:
         fused = run_dmr("fused")
         try:
             def flux_names(sim):
-                devs = sim.devices or sim._backend_devices
-                return [r for d in devs for r in d.launches
+                return [r for d in sim.devices for r in d.launches
                         if r.kernel_class == "flux"]
 
             dev_recs = flux_names(device)

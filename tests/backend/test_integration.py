@@ -41,8 +41,7 @@ def run_dmr(steps=3, **kwargs):
              for lev in range(sim.finest_level + 1)
              for i, fab in sim.state[lev]}
     backend = sim.kernels.exec_backend
-    devices = sim.devices or getattr(sim, "_backend_devices", None) or []
-    launches = [rec for d in devices for rec in d.launches]
+    launches = [rec for d in sim.devices or [] for rec in d.launches]
     totals = backend.class_totals()
     sim.close()
     return state, launches, totals
@@ -84,7 +83,7 @@ class TestPhaseCoverage:
         one labeled launch record per step."""
         sim = make_sim(backend_target="device")
         sim.initialize()
-        devices = sim.devices or sim._backend_devices
+        devices = sim.devices
         for step in range(3):
             before = sum(len(d.launches) for d in devices)
             marks = [len(d.launches) for d in devices]
@@ -110,17 +109,18 @@ class TestPhaseCoverage:
                                         backend_target="device"))
         sim.initialize()
         sim.run(2)
-        names = {rec.name for d in sim._backend_devices for rec in d.launches}
+        names = {rec.name for d in sim.devices for rec in d.launches}
         sim.close()
         assert "Viscous" in names
 
     def test_gpu_version_uses_sim_devices(self):
-        """v2.x (on_gpu) routes launches to the simulation's own devices:
-        no separate accounting fleet is created."""
+        """v2.x defaults to the device target, and the simulation's
+        devices are the target's: one fleet, one GPU per rank."""
         sim = make_sim(version="2.1", backend_target="auto")
-        assert sim.devices is not None
-        assert getattr(sim, "_backend_devices", None) is None
-        assert sim.kernels.exec_backend.devices == sim.devices
+        assert sim.backend_target == "device"
+        assert sim.devices is sim.kernels.exec_backend.devices
+        assert [d.name for d in sim.devices] == [
+            f"V100-rank{r}" for r in range(6)]
         sim.close()
 
 
@@ -153,18 +153,18 @@ class TestConfigPlumbing:
         gpu.close()
 
     def test_forced_device_on_cpu_version(self):
-        """v1.x forced onto the device target gets accounting devices
-        without flipping the CPU kernel backend."""
+        """v1.x forced onto the device target gets the target's devices
+        (and level residency on them) without changing its ordering."""
         case = DoubleMachReflection(ncells=(64, 16))
         sim = Crocco(case, CroccoConfig(version="1.1", max_grid_size=32,
                                         backend_target="device"))
-        assert sim.devices is None
-        assert sim._backend_devices is not None
-        assert sim.kernels.backend == "cpp"
+        assert sim.kernels.ordering == "cpp"
         assert sim.kernels.exec_backend.target == "device"
+        assert sim.devices is sim.exec_backend.devices
         sim.initialize()
         sim.step()
-        assert any(d.launches for d in sim._backend_devices)
+        assert any(d.launches for d in sim.devices)
+        assert sim.gpu_memory_report()[0][1] > 0
         sim.close()
 
     def test_bad_target_raises(self):
@@ -189,3 +189,89 @@ class TestWorkerCounterMerge:
         # beyond any inline fallbacks, but totals still include them
         assert backend.class_totals()["flux"]["launches"] > 0
         sim.close()
+
+
+# -- the version x target matrix ---------------------------------------------
+
+MATRIX_VERSIONS = ("1.0", "1.1", "2.0", "2.1")
+MATRIX_TARGETS = ("host", "device", "fused")
+_MATRIX_RUNS = {}
+
+
+def matrix_run(version, target):
+    """A short small-deck run, cached per (version, target)."""
+    key = (version, target)
+    if key not in _MATRIX_RUNS:
+        case = DoubleMachReflection(ncells=(32, 8), curvilinear=True)
+        sim = Crocco(case, CroccoConfig(
+            version=version, nranks=2, ranks_per_node=2, max_level=1,
+            max_grid_size=16, blocking_factor=8, regrid_int=2,
+            executor="serial", backend_target=target))
+        sim.initialize()
+        sim.run(2)
+        sim.close()
+        _MATRIX_RUNS[key] = sim
+    return _MATRIX_RUNS[key]
+
+
+def _states(sim):
+    return {(lev, i): fab.whole()
+            for lev in range(sim.finest_level + 1)
+            for i, fab in sim.state[lev]}
+
+
+class TestVersionTargetMatrix:
+    """Ordering follows the version; where kernels run and whether they
+    are accounted follows the target, and nothing else."""
+
+    @pytest.mark.parametrize("target", MATRIX_TARGETS)
+    @pytest.mark.parametrize("version", MATRIX_VERSIONS)
+    def test_version_x_target(self, version, target, monkeypatch):
+        from repro.core.validation import flow_variables, l2_difference
+        from repro.kernels import device as device_mod
+
+        built = []
+        for cls in (device_mod.GpuDevice, device_mod.Reservation,
+                    device_mod.DeviceArray):
+            def init(self, *args, _original=cls.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", init)
+        # build this cell afresh, under the construction counter
+        _MATRIX_RUNS.pop((version, target), None)
+        sim = matrix_run(version, target)
+
+        # ordering: v1.0 is the only Fortran-ordered version
+        assert sim.kernels.ordering == ("fortran" if version == "1.0"
+                                        else "cpp")
+        assert sim.backend_target == target
+        # devices, residency and launch records exist iff the target
+        # accounts
+        if target == "host":
+            # plain NumPy: no device, reservation or device array is built
+            assert built == []
+            assert sim.devices is None
+            assert sim.gpu_memory_report() is None
+            assert sim.exec_backend.class_totals() == {}
+        else:
+            assert "GpuDevice" in built and "Reservation" in built
+            assert len(sim.devices) == 2
+            assert all(d.bytes_in_use > 0 for d in sim.devices)
+            assert sum(len(d.launches) for d in sim.devices) > 0
+            assert sim.exec_backend.class_totals()["flux"]["launches"] > 0
+            assert len(sim.gpu_memory_report()) == 2
+
+        host = matrix_run(version, "host")
+        if target == "device":
+            # the GPU move changes no arithmetic: bitwise equal to host
+            hs, ds = _states(host), _states(sim)
+            assert set(hs) == set(ds)
+            for k in hs:
+                assert np.array_equal(hs[k], ds[k]), f"mismatch {k}"
+        elif target == "fused":
+            # the paper's port criterion: <= 1e-7 relative L2
+            vh, vf = flow_variables(host), flow_variables(sim)
+            for name in vh:
+                scale = float(np.sqrt(np.mean(vh[name] ** 2))) or 1.0
+                assert l2_difference(vh[name], vf[name]) / scale <= 1e-7

@@ -5,13 +5,16 @@ import time
 import numpy as np
 import pytest
 
-from repro.backend import (DeviceBackend, HostBackend, LaunchContext,
+from repro.backend import (DeviceBackend, HostBackend, LaunchSpec,
                            counters_delta, current_backend, make_exec_backend,
                            parallel_for, reduce_data, set_backend, use_backend)
 from repro.kernels.counts import (BUDGETS, FILLBOUNDARY_BUDGET, INTERP_BUDGET,
                                   UPDATE_BUDGET, WENO_BUDGET,
                                   budget_for_kernel)
-from repro.kernels.device import GpuDevice
+
+FLUX = LaunchSpec(kernel_class="flux", budget=WENO_BUDGET)
+UPDATE = LaunchSpec(kernel_class="update", budget=UPDATE_BUDGET)
+FILL = LaunchSpec(kernel_class="fillpatch", budget=FILLBOUNDARY_BUDGET)
 
 
 class TestHostBackend:
@@ -46,7 +49,7 @@ class TestDeviceBackend:
         a = rng.standard_normal((5, 8))
         body = lambda: np.sin(a) * np.exp(a)  # noqa: E731
         host_out = HostBackend().parallel_for("K", body, a.size)
-        dev_out = DeviceBackend([GpuDevice()]).parallel_for("K", body, a.size)
+        dev_out = DeviceBackend().parallel_for("K", body, a.size, FLUX)
         np.testing.assert_array_equal(host_out, dev_out)
 
     def test_reduce_matches_host_bitwise(self):
@@ -54,23 +57,22 @@ class TestDeviceBackend:
         v = rng.standard_normal(1000)
         for op in ("min", "max", "sum"):
             h = HostBackend().reduce_data("R", v, op)
-            d = DeviceBackend([GpuDevice()]).reduce_data("R", v, op)
+            d = DeviceBackend().reduce_data("R", v, op)
             assert h == d
 
     def test_launch_recorded_with_class_and_budget(self):
-        dev = GpuDevice()
-        be = DeviceBackend([dev])
-        be.parallel_for("WENOx", lambda: None, 100, kernel_class="flux")
-        rec = dev.launches[-1]
+        be = DeviceBackend()
+        be.parallel_for("WENOx", lambda: None, 100, FLUX)
+        rec = be.devices[0].launches[-1]
         assert rec.name == "WENOx"
         assert rec.kernel_class == "flux"
         assert rec.npoints == 100
         assert rec.flops == int(100 * WENO_BUDGET.flops_per_point)
 
     def test_counters_accumulate_by_class(self):
-        be = DeviceBackend([GpuDevice()])
-        be.parallel_for("FB_pack", lambda: None, 10, kernel_class="fillpatch")
-        be.parallel_for("FB_unpack", lambda: None, 10, kernel_class="fillpatch")
+        be = DeviceBackend()
+        be.parallel_for("FB_pack", lambda: None, 10, FILL)
+        be.parallel_for("FB_unpack", lambda: None, 10, FILL)
         be.reduce_data("ComputeDt", np.ones(5), "max")
         snap = be.counters_snapshot()
         assert snap["fillpatch"]["launches"] == 2
@@ -78,16 +80,17 @@ class TestDeviceBackend:
         assert snap["reduction"]["launches"] == 1
 
     def test_rank_selects_device(self):
-        devs = [GpuDevice(name="d0"), GpuDevice(name="d1")]
-        be = DeviceBackend(devs)
-        be.parallel_for("K", lambda: None, 1, rank=1)
-        be.parallel_for("K", lambda: None, 1, rank=3)
+        be = DeviceBackend(nranks=2)
+        devs = be.devices
+        assert [d.name for d in devs] == ["V100-rank0", "V100-rank1"]
+        be.parallel_for("K", lambda: None, 1, LaunchSpec(rank=1))
+        be.parallel_for("K", lambda: None, 1, LaunchSpec(rank=3))
         assert len(devs[0].launches) == 0
         assert len(devs[1].launches) == 2
 
     def test_worker_counter_merge_kept_separate(self):
-        be = DeviceBackend([GpuDevice()])
-        be.parallel_for("Update", lambda: None, 50, kernel_class="update")
+        be = DeviceBackend()
+        be.parallel_for("Update", lambda: None, 50, UPDATE)
         be.merge_worker_counters(
             {"update": {"launches": 3, "points": 150, "flops": 10,
                         "dram_bytes": 20}})
@@ -98,18 +101,18 @@ class TestDeviceBackend:
         assert be.class_totals()["update"]["points"] == 200
 
     def test_counters_delta(self):
-        be = DeviceBackend([GpuDevice()])
-        be.parallel_for("Update", lambda: None, 5, kernel_class="update")
+        be = DeviceBackend()
+        be.parallel_for("Update", lambda: None, 5, UPDATE)
         before = be.counters_snapshot()
-        be.parallel_for("Update", lambda: None, 7, kernel_class="update")
-        be.parallel_for("WENOx", lambda: None, 3, kernel_class="flux")
+        be.parallel_for("Update", lambda: None, 7, UPDATE)
+        be.parallel_for("WENOx", lambda: None, 3, FLUX)
         delta = counters_delta(be.counters_snapshot(), before)
         assert delta["update"]["launches"] == 1
         assert delta["update"]["points"] == 7
         assert delta["flux"]["launches"] == 1
         # unchanged classes are omitted entirely
-        be2 = DeviceBackend([GpuDevice()])
-        be2.parallel_for("Update", lambda: None, 5, kernel_class="update")
+        be2 = DeviceBackend()
+        be2.parallel_for("Update", lambda: None, 5, UPDATE)
         snap = be2.counters_snapshot()
         assert counters_delta(snap, snap) == {}
 
@@ -135,13 +138,13 @@ class TestCurrentBackendContext:
         assert current_backend().target == "host"
 
     def test_use_backend_restores_on_exit(self):
-        be = DeviceBackend([GpuDevice()])
+        be = DeviceBackend()
         with use_backend(be):
             assert current_backend() is be
         assert current_backend().target == "host"
 
     def test_use_backend_nests(self):
-        outer = DeviceBackend([GpuDevice()])
+        outer = DeviceBackend()
         inner = HostBackend()
         with use_backend(outer):
             with use_backend(inner):
@@ -149,38 +152,36 @@ class TestCurrentBackendContext:
             assert current_backend() is outer
 
     def test_restores_on_exception(self):
-        be = DeviceBackend([GpuDevice()])
+        be = DeviceBackend()
         with pytest.raises(RuntimeError):
             with use_backend(be):
                 raise RuntimeError("boom")
         assert current_backend().target == "host"
 
     def test_set_backend_none_restores_default(self):
-        prev = set_backend(DeviceBackend([GpuDevice()]))
+        prev = set_backend(DeviceBackend())
         assert prev.target == "host"
         set_backend(None)
         assert current_backend().target == "host"
 
     def test_free_functions_dispatch_to_current(self):
-        dev = GpuDevice()
-        with use_backend(DeviceBackend([dev])):
-            out = parallel_for("K", lambda: 42, 7, kernel_class="update")
+        be = DeviceBackend()
+        with use_backend(be):
+            out = parallel_for("K", lambda: 42, 7, UPDATE)
             r = reduce_data("R", np.array([1.0, 3.0]), "max")
         assert out == 42
         assert r == 3.0
-        assert [rec.name for rec in dev.launches] == ["K", "R"]
-
-    def test_launch_context_alias(self):
-        assert LaunchContext is use_backend
+        assert [rec.name for rec in be.devices[0].launches] == ["K", "R"]
 
 
 class TestMakeExecBackend:
     def test_targets(self):
-        assert make_exec_backend("host").target == "host"
-        dev = GpuDevice()
-        be = make_exec_backend("device", [dev])
+        host = make_exec_backend("host", nranks=3)
+        assert host.target == "host" and host.devices is None
+        be = make_exec_backend("device", nranks=3)
         assert be.target == "device"
-        assert be.devices == [dev]
+        assert [d.name for d in be.devices] == [
+            "V100-rank0", "V100-rank1", "V100-rank2"]
 
     def test_unknown_target_raises(self):
         with pytest.raises(ValueError, match="unknown backend target"):
@@ -188,7 +189,7 @@ class TestMakeExecBackend:
 
 
 class SlowListener:
-    """Deliberately expensive on_launch observer (satellite-6 regression)."""
+    """Deliberately expensive on_launch observer."""
 
     def __init__(self, delay):
         self.delay = delay
@@ -201,13 +202,13 @@ class SlowListener:
 
 class TestListenerOutsideTimedWindow:
     def test_slow_listener_does_not_inflate_wall_time(self):
-        """_notify_launch runs after the perf_counter window: a 50 ms
+        """Listeners fire after the perf_counter window: a 50 ms
         listener must not appear in the charged kernel wall time."""
-        dev = GpuDevice()
+        be = DeviceBackend()
         listener = SlowListener(0.05)
-        dev.add_listener(listener)
+        be.devices[0].add_listener(listener)
         for _ in range(3):
-            dev.launch("K", lambda: None, 10, 1.0, 8.0)
-        dev.reduce("R", np.ones(4), op="sum")
+            be.parallel_for("K", lambda: None, 10, UPDATE)
+        be.reduce_data("R", np.ones(4), op="sum")
         assert len(listener.walls) == 4
         assert all(w < 0.04 for w in listener.walls)

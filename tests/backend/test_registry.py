@@ -19,17 +19,20 @@ class TestRegistry:
             assert name in targets
 
     def test_targets_constant_derived_from_registry(self):
+        """The target list is read from the registry, never duplicated:
+        there is no module-level constant, and late registrations show up
+        in available_targets()."""
         import repro.backend
         import repro.backend.launch
 
-        assert repro.backend.TARGETS == available_targets()
-        assert repro.backend.launch.TARGETS == available_targets()
-        register_target("tmp_derived", lambda devices=None: HostBackend())
+        assert not hasattr(repro.backend, "TARGETS")
+        assert not hasattr(repro.backend.launch, "TARGETS")
+        register_target("tmp_derived", lambda nranks=1: HostBackend())
         try:
-            assert "tmp_derived" in repro.backend.TARGETS
+            assert "tmp_derived" in available_targets()
         finally:
             unregister_target("tmp_derived")
-        assert "tmp_derived" not in repro.backend.TARGETS
+        assert "tmp_derived" not in available_targets()
 
     def test_make_exec_backend_goes_through_registry(self):
         for name in ALL_TARGETS:
@@ -39,7 +42,7 @@ class TestRegistry:
         class Tracer(HostBackend):
             target = "tracer"
 
-        register_target("tracer", lambda devices=None: Tracer())
+        register_target("tracer", lambda nranks=1: Tracer())
         try:
             be = make_exec_backend("tracer")
             assert isinstance(be, Tracer)
@@ -48,15 +51,15 @@ class TestRegistry:
             unregister_target("tracer")
 
     def test_duplicate_registration_rejected_unless_override(self):
-        register_target("tmp_dup", lambda devices=None: HostBackend())
+        register_target("tmp_dup", lambda nranks=1: HostBackend())
         try:
             with pytest.raises(ValueError, match="already registered"):
-                register_target("tmp_dup", lambda devices=None: HostBackend())
+                register_target("tmp_dup", lambda nranks=1: HostBackend())
             # override replaces the factory in place
             class Other(HostBackend):
                 target = "tmp_dup"
 
-            register_target("tmp_dup", lambda devices=None: Other(),
+            register_target("tmp_dup", lambda nranks=1: Other(),
                             override=True)
             assert isinstance(make_exec_backend("tmp_dup"), Other)
         finally:
@@ -64,7 +67,7 @@ class TestRegistry:
 
     def test_auto_name_reserved(self):
         with pytest.raises(ValueError, match="reserved"):
-            register_target("auto", lambda devices=None: HostBackend())
+            register_target("auto", lambda nranks=1: HostBackend())
 
     def test_unknown_target_error_lists_registered_names(self):
         with pytest.raises(UnknownTargetError) as exc:
@@ -126,40 +129,46 @@ class TestLaunchSpecContract:
         assert red == 5.0
 
     @pytest.mark.parametrize("target", ALL_TARGETS)
-    def test_loose_kwargs_deprecated_but_equivalent(self, target):
+    def test_loose_kwargs_raise_type_error(self, target):
+        """The LaunchSpec is the only launch contract: the historical
+        loose keywords are rejected outright, by every target and by the
+        module-level free functions."""
+        from repro.backend import parallel_for, reduce_data, use_backend
+
         be = make_exec_backend(target)
-        with pytest.warns(DeprecationWarning, match="LaunchSpec"):
-            out = be.parallel_for("Update", lambda: 7, 10,
-                                  kernel_class="update")
-        assert out == 7
-        with pytest.warns(DeprecationWarning, match="LaunchSpec"):
-            red = be.reduce_data("ComputeDt", np.arange(4.0), "min",
-                                 kernel_class="reduction", rank=0)
-        assert red == 0.0
+        with pytest.raises(TypeError, match="kernel_class"):
+            be.parallel_for("Update", lambda: 7, 10, kernel_class="update")
+        with pytest.raises(TypeError, match="rank"):
+            be.reduce_data("ComputeDt", np.arange(4.0), "min", rank=0)
+        with use_backend(be):
+            with pytest.raises(TypeError, match="budget"):
+                parallel_for("K", lambda: 1, 1, budget=None)
+            with pytest.raises(TypeError, match="device"):
+                reduce_data("R", np.ones(2), "max", device=None)
+        assert be.class_totals() == {}
 
     def test_unknown_kwarg_rejected(self):
         be = make_exec_backend("host")
         with pytest.raises(TypeError, match="grid_size"):
             be.parallel_for("K", lambda: 1, 1, grid_size=128)
 
-    def test_loose_kwargs_merge_into_spec_with_warning(self):
-        from repro.kernels.device import GpuDevice
-
-        dev = GpuDevice(name="m")
-        be = make_exec_backend("device", [dev, GpuDevice(name="m2")])
-        with pytest.warns(DeprecationWarning):
-            be.parallel_for("K", lambda: 1, 1,
-                            LaunchSpec(kernel_class="update"), rank=1)
-        # the legacy kwarg overrode the spec's default rank
-        assert be.devices[1].launches and not dev.launches
-
     def test_device_target_records_spec_fields(self):
-        from repro.kernels.device import GpuDevice
+        be = make_exec_backend("device", nranks=2)
+        seen = []
 
-        dev = GpuDevice(name="t")
-        be = make_exec_backend("device", [dev])
-        be.parallel_for("WENOx", lambda: None, 100,
-                        LaunchSpec(kernel_class="flux", rank=0,
-                                   shape=(5, 10, 10)))
-        assert len(dev.launches) == 1
+        class Probe:
+            def on_launch(self, device, rec, wall):
+                seen.append((device.name, device.bytes_in_use))
+
+        be.devices[1].add_listener(Probe())
+        be.parallel_for("WENOx", lambda: seen.append(
+                            be.devices[1].bytes_in_use), 100,
+                        LaunchSpec(kernel_class="flux", rank=1,
+                                   shape=(5, 10, 10), scratch_bytes=4000))
+        # the scratch is held on the launching rank's device for the
+        # body only, and released before the record is filed
+        assert seen == [4000, ("V100-rank1", 0)]
+        assert not be.devices[0].launches
+        assert len(be.devices[1].launches) == 1
+        assert be.devices[1].high_water == 4000
         assert be.class_totals()["flux"]["points"] == 100

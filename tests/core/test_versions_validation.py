@@ -8,15 +8,20 @@ from repro.core.versions import VERSIONS, get_version
 
 
 def test_version_matrix_matches_paper():
-    assert get_version("1.0").backend == "fortran"
+    assert get_version("1.0").ordering == "fortran"
+    assert get_version("1.0").target == "host"
     assert not get_version("1.0").amr
-    assert get_version("1.1").backend == "cpp"
+    assert get_version("1.1").ordering == "cpp"
+    assert get_version("1.1").target == "host"
     assert not get_version("1.1").amr
-    assert get_version("1.2").backend == "cpp"
+    assert get_version("1.2").ordering == "cpp"
+    assert get_version("1.2").target == "host"
     assert get_version("1.2").amr
-    assert get_version("2.0").backend == "gpu"
+    assert get_version("2.0").ordering == "cpp"
+    assert get_version("2.0").target == "device"
     assert get_version("2.0").interpolator == "curvilinear"
-    assert get_version("2.1").backend == "gpu"
+    assert get_version("2.1").ordering == "cpp"
+    assert get_version("2.1").target == "device"
     assert get_version("2.1").interpolator == "trilinear"
 
 
@@ -34,8 +39,12 @@ def test_unknown_version():
 
 
 def test_gpu_flag():
+    """on_gpu (the perf model's ranks-per-node switch) follows the
+    version's default target."""
     assert not VERSIONS["1.2"].on_gpu
     assert VERSIONS["2.0"].on_gpu
+    for v in VERSIONS.values():
+        assert v.on_gpu == (v.target != "host")
 
 
 def test_l2_difference():

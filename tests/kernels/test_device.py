@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.backend import DeviceBackend, LaunchSpec
+from repro.kernels.counts import KernelBudget
 from repro.kernels.device import (
     DeviceMemoryError,
     GpuDevice,
@@ -53,12 +55,18 @@ def test_upload_copies():
     assert d.data[0] == 0.0
 
 
+def budget(flops, dram, l2=1.0, l1=1.0):
+    return KernelBudget(name="test", flops_per_point=flops,
+                        dram_bytes_per_point=dram, l2_amplification=l2,
+                        l1_amplification=l1, registers_per_thread=64)
+
+
 def test_launch_records_and_returns():
-    dev = GpuDevice()
-    out = dev.launch("WENOx", lambda: np.ones(3), npoints=1000,
-                     flops_per_point=600, dram_bytes_per_point=400)
+    be = DeviceBackend()
+    out = be.parallel_for("WENOx", lambda: np.ones(3), 1000,
+                          LaunchSpec(budget=budget(600, 400, 1.6, 4.0)))
     assert np.all(out == 1.0)
-    rec = dev.launches[0]
+    rec = be.devices[0].launches[0]
     assert rec.name == "WENOx"
     assert rec.flops == 600000
     assert rec.dram_bytes == 400000
@@ -67,26 +75,43 @@ def test_launch_records_and_returns():
 
 
 def test_reduce():
-    dev = GpuDevice()
-    assert dev.reduce("ComputeDt", np.array([3.0, 1.0, 2.0]), "min") == 1.0
-    assert dev.reduce("ComputeDt", np.array([3.0, 1.0]), "max") == 3.0
-    assert dev.reduce("ComputeDt", np.array([3.0, 1.0]), "sum") == 4.0
+    be = DeviceBackend()
+    assert be.reduce_data("ComputeDt", np.array([3.0, 1.0, 2.0]), "min") == 1.0
+    assert be.reduce_data("ComputeDt", np.array([3.0, 1.0]), "max") == 3.0
+    assert be.reduce_data("ComputeDt", np.array([3.0, 1.0]), "sum") == 4.0
     with pytest.raises(ValueError):
-        dev.reduce("ComputeDt", np.array([1.0]), "prod")
+        be.reduce_data("ComputeDt", np.array([1.0]), "prod")
+    dev = be.devices[0]
     assert len(dev.launches) == 3
+    rec = dev.launches[0]
+    assert (rec.npoints, rec.flops, rec.dram_bytes, rec.l2_bytes,
+            rec.l1_bytes) == (3, 3, 24, 24, 24)
 
 
 def test_totals_and_by_kernel():
-    dev = GpuDevice()
-    dev.launch("A", lambda: None, 10, 2, 4)
-    dev.launch("A", lambda: None, 10, 2, 4)
-    dev.launch("B", lambda: None, 5, 1, 1)
+    be = DeviceBackend()
+    be.parallel_for("A", lambda: None, 10, LaunchSpec(budget=budget(2, 4)))
+    be.parallel_for("A", lambda: None, 10, LaunchSpec(budget=budget(2, 4)))
+    be.parallel_for("B", lambda: None, 5, LaunchSpec(budget=budget(1, 1)))
+    dev = be.devices[0]
     assert set(dev.launches_by_kernel()) == {"A", "B"}
     tot = dev.totals("A")
     assert tot.flops == 40
     assert dev.totals().npoints == 25
     dev.reset()
     assert dev.launches == []
+
+
+def test_reserve_accounts_without_host_array():
+    dev = GpuDevice(memory_bytes=1000)
+    with dev.reserve(600) as r:
+        assert not hasattr(r, "data")
+        assert dev.bytes_in_use == 600
+        with pytest.raises(DeviceMemoryError):
+            dev.reserve(600)
+    assert dev.bytes_in_use == 0
+    assert dev.high_water == 600
+    assert dev.alloc_count == 1
 
 
 def test_double_free_detection():

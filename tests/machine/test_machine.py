@@ -123,14 +123,12 @@ def test_reduction_and_barrier_log_scaling():
 
 
 def test_roofline_from_launches():
-    from repro.kernels.device import GpuDevice
+    from repro.backend import DeviceBackend, LaunchSpec
 
-    dev = GpuDevice()
-    dev.launch("WENOx", lambda: None, 100_000,
-               WENO_BUDGET.flops_per_point,
-               WENO_BUDGET.dram_bytes_per_point,
-               WENO_BUDGET.l2_amplification,
-               WENO_BUDGET.l1_amplification)
+    be = DeviceBackend()
+    be.parallel_for("WENOx", lambda: None, 100_000,
+                    LaunchSpec(budget=WENO_BUDGET))
+    dev = be.devices[0]
     v = V100Model()
     wall = v.kernel_time(WENO_BUDGET, 100_000)
     rp = roofline_from_launches(dev, "WENOx", wall)

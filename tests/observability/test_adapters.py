@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.kernels.device import GpuDevice
+from repro.backend import DeviceBackend, LaunchSpec
+from repro.kernels.counts import KernelBudget
 from repro.mpi.ledger import CommLedger
 from repro.observability.adapters import (
     DeviceMetricsAdapter,
@@ -95,12 +96,14 @@ def test_ledger_paused_suppresses_listener():
 def test_device_adapter_counts_and_spans():
     reg = MetricsRegistry()
     tracer = Tracer()
-    dev = GpuDevice()
+    be = DeviceBackend()
+    dev = be.devices[0]
     dev.add_listener(DeviceMetricsAdapter(reg, rank=0, tracer=tracer))
-    dev.launch("WENOx", lambda: None, npoints=1000,
-               flops_per_point=10.0, dram_bytes_per_point=8.0)
-    dev.launch("WENOx", lambda: None, npoints=500,
-               flops_per_point=10.0, dram_bytes_per_point=8.0)
+    spec = LaunchSpec(budget=KernelBudget(
+        name="test", flops_per_point=10.0, dram_bytes_per_point=8.0,
+        l2_amplification=1.6, l1_amplification=4.0, registers_per_thread=64))
+    be.parallel_for("WENOx", lambda: None, 1000, spec)
+    be.parallel_for("WENOx", lambda: None, 500, spec)
     snap = reg.snapshot()
     assert snap["kernel.WENOx.launches"] == 2
     assert snap["kernel.WENOx.points"] == 1500
@@ -114,8 +117,8 @@ def test_device_adapter_counts_and_spans():
 
 def test_device_reduce_notifies_listener():
     reg = MetricsRegistry()
-    dev = GpuDevice()
-    dev.add_listener(DeviceMetricsAdapter(reg, rank=0))
-    out = dev.reduce("ComputeDt", np.array([3.0, 1.0, 2.0]), op="min")
+    be = DeviceBackend()
+    be.devices[0].add_listener(DeviceMetricsAdapter(reg, rank=0))
+    out = be.reduce_data("ComputeDt", np.array([3.0, 1.0, 2.0]), op="min")
     assert out == 1.0
     assert reg.snapshot()["kernel.ComputeDt.launches"] == 1

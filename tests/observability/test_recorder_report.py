@@ -42,6 +42,25 @@ def recorded_run(tmp_path_factory):
     return run_dir, sim, fp_breakdown
 
 
+def test_trace_config_names_resolved_target_and_ordering(tmp_path):
+    """A v2.0 run forced onto the host target is recorded as what ran:
+    target host, C++ ordering (not the version's GPU default)."""
+    from repro.cases.shocktube import SodShockTube
+
+    trace = tmp_path / "trace.json"
+    sim = Crocco(SodShockTube(32), CroccoConfig(
+        version="2.0", max_grid_size=32, backend_target="host",
+        trace_out=str(trace)))
+    sim.initialize()
+    sim.step()
+    sim.close()
+    _events, other = load_chrome_trace(trace)
+    config = other["config"]
+    assert config["target"] == "host"
+    assert config["ordering"] == "cpp"
+    assert "backend" not in config
+
+
 def test_trace_is_valid_with_nested_fillpatch(recorded_run):
     run_dir, _sim, _bd = recorded_run
     import json
@@ -51,6 +70,8 @@ def test_trace_is_valid_with_nested_fillpatch(recorded_run):
     assert other["mode"] == "wall"
     assert other["schema"] == "repro-trace-1"
     assert other["config"]["case"] == "dmr"
+    assert other["config"]["target"] == _sim.backend_target
+    assert other["config"]["ordering"] == "cpp"
     # FillPatch spans nest ParallelCopy and FillBoundary children
     split = split_of(events, "FillPatch")
     assert "ParallelCopy" in split

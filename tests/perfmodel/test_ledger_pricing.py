@@ -72,20 +72,21 @@ def test_functional_run_priceable_end_to_end():
 
 
 def test_summarize_device_prices_launches():
-    from repro.kernels.device import GpuDevice
+    from repro.backend import DeviceBackend, LaunchSpec
+    from repro.kernels.counts import UPDATE_BUDGET, WENO_BUDGET
     from repro.machine.gpu import V100Model
     from repro.perfmodel.device_timing import summarize_device
 
-    dev = GpuDevice()
-    dev.launch("WENOx", lambda: None, 50_000, 600, 400)
-    dev.launch("WENOx", lambda: None, 50_000, 600, 400)
-    dev.launch("Update", lambda: None, 50_000, 20, 120)
-    t = summarize_device(dev)
+    be = DeviceBackend()
+    weno = LaunchSpec(kernel_class="flux", budget=WENO_BUDGET)
+    be.parallel_for("WENOx", lambda: None, 50_000, weno)
+    be.parallel_for("WENOx", lambda: None, 50_000, weno)
+    be.parallel_for("Update", lambda: None, 50_000,
+                    LaunchSpec(kernel_class="update", budget=UPDATE_BUDGET))
+    t = summarize_device(be.devices[0])
     assert set(t.seconds) == {"WENOx", "Update"}
     assert t.launches == {"WENOx": 2, "Update": 1}
     m = V100Model()
-    from repro.kernels.counts import WENO_BUDGET
-
     assert t.seconds["WENOx"] == pytest.approx(
         2 * m.kernel_time(WENO_BUDGET, 50_000))
     assert t.total == pytest.approx(sum(t.seconds.values()))
