@@ -65,10 +65,20 @@ def test_device_launch_coverage():
     # flux sweeps per cell per stage: one per direction (+1 if viscous)
     sweeps = dim + (1 if case.viscous is not None else 0)
 
+    # the devices keep only launch tallies; a listener sees each launch
+    names = []
+
+    class _LaunchNames:
+        def on_launch(self, device, rec, wall_seconds):
+            names.append(rec.name)
+
+    for d in devices:
+        d.add_listener(_LaunchNames())
+
     analytic_core = 0
     rows = []
     for step in range(STEPS):
-        marks = [len(d.launches) for d in devices]
+        names.clear()
         before = backend.counters_snapshot()
         sim.step()
         # regrid happens at step start, so the post-step hierarchy is the
@@ -76,15 +86,13 @@ def test_device_launch_coverage():
         cells = active_cells(sim)
         step_core = cells * (NSTAGES * (sweeps + 1) + 1)
         analytic_core += step_core
-        new = [rec for d, m in zip(devices, marks) for rec in d.launches[m:]]
-        names = [rec.name for rec in new]
         missing = [p for p in STEP_PHASE_PREFIXES
                    if not any(n.startswith(p) for n in names)]
         assert not missing, f"step {step}: phases with no launch: {missing}"
         after = backend.counters_snapshot()
         step_tot = {c: after[c]["points"] - before.get(c, {}).get("points", 0)
                     for c in after}
-        rows.append((step, cells, len(new), step_core,
+        rows.append((step, cells, len(names), step_core,
                      sum(v for c, v in step_tot.items()
                          if c in CORE_CLASSES)))
 

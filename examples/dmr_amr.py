@@ -64,7 +64,7 @@ def main() -> None:
     if sim.devices is not None:
         from repro.perfmodel.device_timing import summarize_device
 
-        launches = sum(len(d.launches) for d in sim.devices)
+        launches = sum(d.launch_count() for d in sim.devices)
         high_water = max(d.high_water for d in sim.devices)
         print(f"simulated GPUs: {launches} kernel launches over "
               f"{len(sim.devices)} ranks, high-water {high_water / 1e6:.1f} MB")

@@ -24,10 +24,11 @@ what is installed:
     The same arithmetic executed as recorded launches on simulated
     :class:`~repro.kernels.device.GpuDevice` instances, one per rank
     (Summit: one V100 per MPI rank).  The target owns those devices, the
-    level-state residency and per-launch scratch reserved on them, the
-    launch records and the per-kernel-class counters.  Because the body
-    is identical, host and device targets are *bitwise* identical; only
-    the accounting differs — the v2.0/2.1 path.
+    level-state residency and per-launch scratch reserved on them, and
+    their launch tallies, from which the per-kernel-class counters are
+    summed.  Because the body is identical, host and device targets are
+    *bitwise* identical; only the accounting differs — the v2.0/2.1
+    path.
 
 ``fused``
     The first *optimizing* target (:mod:`repro.backend.fused`): kernels
@@ -47,7 +48,7 @@ the AMR substrate has no reference to the driver — resolve their target
 with :func:`current_backend`; the driver activates its configured
 backend around each step with :func:`use_backend`.  Per-kernel-class
 launch counters support merging accounting from pool workers back into
-the driver (records themselves stay worker-local).
+the driver (the workers' launch tallies themselves stay worker-local).
 """
 
 from __future__ import annotations
@@ -125,12 +126,6 @@ class LaunchCounter:
     flops: int = 0
     dram_bytes: int = 0
 
-    def add_record(self, rec) -> None:
-        self.launches += 1
-        self.points += rec.npoints
-        self.flops += rec.flops
-        self.dram_bytes += rec.dram_bytes
-
     def add_dict(self, d: Dict[str, int]) -> None:
         self.launches += int(d.get("launches", 0))
         self.points += int(d.get("points", 0))
@@ -187,12 +182,9 @@ class ExecutionBackend:
         return []
 
     # -- accounting (accounting targets only; host returns empties) --------
-    @property
-    def counters(self) -> Dict[str, LaunchCounter]:
-        return {}
-
     def counters_snapshot(self) -> Dict[str, Dict[str, int]]:
-        return {cls: c.as_dict() for cls, c in self.counters.items()}
+        """Per-class counters of the launches recorded in this process."""
+        return {}
 
     def merge_worker_counters(self, delta: Dict[str, Dict[str, int]]) -> None:
         """Fold per-class counters from pool workers into this backend."""
@@ -223,11 +215,11 @@ class DeviceBackend(ExecutionBackend):
 
     ``spec.rank`` selects the launching rank's device (Summit: one V100
     per MPI rank).  This is the one place a launch is recorded: the body
-    is timed, its :class:`~repro.kernels.device.LaunchRecord` is priced
-    from the launch budget and filed on the device, and a
-    per-kernel-class :class:`LaunchCounter` is bumped.  Counters merged
-    from pool workers are kept separately (``worker_counters``) so
-    driver-recorded work is never double-counted.
+    is timed, and its :class:`~repro.kernels.device.LaunchRecord` is
+    priced from the launch budget and counted in the device's tally.
+    The per-kernel-class counters are sums over those tallies; counters
+    merged from pool workers are kept separately (``worker_counters``)
+    so driver-recorded work is never double-counted.
     """
 
     target = "device"
@@ -237,12 +229,7 @@ class DeviceBackend(ExecutionBackend):
 
         self.devices = [GpuDevice(name=f"V100-rank{r}")
                         for r in range(nranks)]
-        self._counters: Dict[str, LaunchCounter] = {}
         self.worker_counters: Dict[str, LaunchCounter] = {}
-
-    @property
-    def counters(self) -> Dict[str, LaunchCounter]:
-        return self._counters
 
     def device_for(self, rank: int):
         return self.devices[rank % len(self.devices)]
@@ -269,7 +256,6 @@ class DeviceBackend(ExecutionBackend):
             kernel_class=kernel_class,
         )
         dev.record(rec, wall_seconds)
-        self._counters.setdefault(kernel_class, LaunchCounter()).add_record(rec)
 
     # the timed windows below cover only the body; scratch reservation,
     # record construction and listener notification stay outside them so
@@ -307,18 +293,29 @@ class DeviceBackend(ExecutionBackend):
                      spec.kernel_class, elapsed)
         return result
 
-    # -- worker-counter merging --------------------------------------------
+    # -- per-class counters -----------------------------------------------
+    def counters_snapshot(self) -> Dict[str, Dict[str, int]]:
+        out: Dict[str, Dict[str, int]] = {}
+        for dev in self.devices:
+            for rec, n in dev.launch_tally.items():
+                tot = out.setdefault(rec.kernel_class,
+                                     {f: 0 for f in COUNTER_FIELDS})
+                tot["launches"] += n
+                tot["points"] += n * rec.npoints
+                tot["flops"] += n * rec.flops
+                tot["dram_bytes"] += n * rec.dram_bytes
+        return out
+
     def merge_worker_counters(self, delta: Dict[str, Dict[str, int]]) -> None:
         for cls, d in delta.items():
             self.worker_counters.setdefault(cls, LaunchCounter()).add_dict(d)
 
     def class_totals(self) -> Dict[str, Dict[str, int]]:
-        out: Dict[str, Dict[str, int]] = {}
-        for source in (self._counters, self.worker_counters):
-            for cls, c in source.items():
-                tot = out.setdefault(cls, {f: 0 for f in COUNTER_FIELDS})
-                for field_, value in c.as_dict().items():
-                    tot[field_] += value
+        out = self.counters_snapshot()
+        for cls, c in self.worker_counters.items():
+            tot = out.setdefault(cls, {f: 0 for f in COUNTER_FIELDS})
+            for field_, value in c.as_dict().items():
+                tot[field_] += value
         return out
 
     @property

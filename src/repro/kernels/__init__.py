@@ -13,7 +13,7 @@ the *software structure* of that port on two independent axes:
   accounting targets run the same arithmetic on simulated GPUs
   (:mod:`repro.kernels.device`), one per rank: scratch is reserved in
   "global memory" before launch (never inside kernels), launches are
-  recorded with flop/byte counts for the roofline model, and
+  tallied with flop/byte counts for the roofline model, and
   device-memory capacity is enforced — reproducing the 16 GB V100 limit
   that shaped the paper's problem sizes.
 """

@@ -1,4 +1,4 @@
-"""Simulated GPU device: memory arena and launch-record store.
+"""Simulated GPU device: memory arena and launch tally.
 
 We have no physical GPU, so this module supplies the *behavioral* device
 the accounting execution targets (:mod:`repro.backend`) launch on, one
@@ -8,21 +8,22 @@ per simulated MPI rank:
   raising :class:`DeviceMemoryError` exactly where the real code would
   fault — the paper reports grid counts beyond 2.0e5 points spilling V100
   memory, which shaped both scaling studies;
-- the kernel-launch records (name, points, flops, bytes at each memory
-  level) that feed the hierarchical roofline model of Fig. 4, plus the
-  listeners notified of each one.
+- the kernel-launch tally (name, points, flops, bytes at each memory
+  level, counted once per distinct record) that feeds the hierarchical
+  roofline model of Fig. 4, plus the listeners notified of each launch.
 
 The device never runs anything: :class:`~repro.backend.DeviceBackend`
 times each launch body on the host NumPy arrays, builds its
-:class:`LaunchRecord` and files it here.
+:class:`LaunchRecord` and files it here.  Repeated launches of the same
+kernel over the same box produce equal records, so the tally stays as
+small as the set of distinct (kernel, class, point count) triples
+however long the run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional
 
 #: Summit NVIDIA V100 device memory
 V100_MEMORY_BYTES = 16 * 1024**3
@@ -32,9 +33,9 @@ class DeviceMemoryError(MemoryError):
     """Raised when a device allocation exceeds the arena capacity."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class LaunchRecord:
-    """One recorded kernel launch."""
+    """One kernel launch (hashable: equal launches share a tally entry)."""
 
     name: str
     npoints: int
@@ -68,17 +69,8 @@ class Reservation:
         self.free()
 
 
-class DeviceArray(Reservation):
-    """A NumPy array accounted against the device arena."""
-
-    def __init__(self, device: "GpuDevice", shape: Tuple[int, ...],
-                 dtype=np.float64) -> None:
-        self.data = np.zeros(shape, dtype=dtype)
-        super().__init__(device, self.data.nbytes)
-
-
 class GpuDevice:
-    """A simulated accelerator: bounded memory plus its launch records."""
+    """A simulated accelerator: bounded memory plus its launch tally."""
 
     def __init__(self, name: str = "V100",
                  memory_bytes: int = V100_MEMORY_BYTES) -> None:
@@ -86,7 +78,8 @@ class GpuDevice:
         self.memory_bytes = memory_bytes
         self.bytes_in_use = 0
         self.high_water = 0
-        self.launches: List[LaunchRecord] = []
+        #: distinct launch record -> number of launches that produced it
+        self.launch_tally: Dict[LaunchRecord, int] = {}
         self.alloc_count = 0
         self._listeners: List[object] = []
 
@@ -97,13 +90,9 @@ class GpuDevice:
         if listener not in self._listeners:
             self._listeners.append(listener)
 
-    def remove_listener(self, listener: object) -> None:
-        if listener in self._listeners:
-            self._listeners.remove(listener)
-
     def record(self, rec: LaunchRecord, wall_seconds: float) -> None:
-        """File one launch record and notify the listeners."""
-        self.launches.append(rec)
+        """Count one launch and notify the listeners."""
+        self.launch_tally[rec] = self.launch_tally.get(rec, 0) + 1
         for listener in self._listeners:
             listener.on_launch(self, rec, wall_seconds)
 
@@ -123,10 +112,6 @@ class GpuDevice:
         if self.bytes_in_use < 0:
             raise RuntimeError("device arena double free")
 
-    def alloc(self, shape: Tuple[int, ...], dtype=np.float64) -> DeviceArray:
-        """Allocate a zero-filled array in device global memory."""
-        return DeviceArray(self, shape, dtype)
-
     def reserve(self, nbytes: int) -> Reservation:
         """Account ``nbytes`` of device memory without a host array.
 
@@ -136,36 +121,27 @@ class GpuDevice:
         """
         return Reservation(self, nbytes)
 
-    def upload(self, arr: np.ndarray) -> DeviceArray:
-        """Copy a host array to the device (accounted allocation + copy)."""
-        d = DeviceArray(self, arr.shape, arr.dtype)
-        d.data[...] = arr
-        return d
-
     # -- summaries --------------------------------------------------------
-    def launches_by_kernel(self) -> Dict[str, List[LaunchRecord]]:
-        out: Dict[str, List[LaunchRecord]] = {}
-        for rec in self.launches:
-            out.setdefault(rec.name, []).append(rec)
-        return out
+    def launch_count(self, name: Optional[str] = None) -> int:
+        """Launches recorded (optionally of one kernel)."""
+        return sum(n for rec, n in self.launch_tally.items()
+                   if name is None or rec.name == name)
 
     def totals(self, name: Optional[str] = None) -> LaunchRecord:
         """Aggregate record over all launches (optionally one kernel)."""
-        recs = [r for r in self.launches if name is None or r.name == name]
+        tally = [(r, n) for r, n in self.launch_tally.items()
+                 if name is None or r.name == name]
         return LaunchRecord(
             name=name or "total",
-            npoints=sum(r.npoints for r in recs),
-            flops=sum(r.flops for r in recs),
-            dram_bytes=sum(r.dram_bytes for r in recs),
-            l2_bytes=sum(r.l2_bytes for r in recs),
-            l1_bytes=sum(r.l1_bytes for r in recs),
+            npoints=sum(n * r.npoints for r, n in tally),
+            flops=sum(n * r.flops for r, n in tally),
+            dram_bytes=sum(n * r.dram_bytes for r, n in tally),
+            l2_bytes=sum(n * r.l2_bytes for r, n in tally),
+            l1_bytes=sum(n * r.l1_bytes for r, n in tally),
         )
-
-    def reset(self) -> None:
-        self.launches.clear()
 
     def __repr__(self) -> str:
         return (
             f"GpuDevice({self.name}, {self.bytes_in_use}/{self.memory_bytes} B, "
-            f"{len(self.launches)} launches)"
+            f"{self.launch_count()} launches)"
         )

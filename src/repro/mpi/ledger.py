@@ -1,17 +1,18 @@
-"""Message ledger: the record of simulated MPI traffic.
+"""Message ledger: the tally of simulated MPI traffic.
 
 Every communication primitive in the substrate (FillBoundary point-to-point
-exchanges, ParallelCopy global redistribution, reductions) appends
-:class:`Message` records here.  The ledger is the ground truth that the
-Summit network model prices: message counts, per-kind byte volumes, and
-the on-node/off-node split all come from real box-intersection geometry.
+exchanges, ParallelCopy global redistribution, reductions) records its
+messages here.  The ledger is the ground truth that the Summit network
+model prices: message counts, per-kind byte volumes, and the
+on-node/off-node split all come from real box-intersection geometry.
+
+Like the AMReX TinyProfiler, the ledger keeps aggregates, not events: one
+``[count, bytes]`` entry per ``(src, dst, kind)``, so its size is bounded
+by ``nranks**2 * len(KINDS)`` however long the run.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 #: Message kinds tracked by the ledger, matching the paper's profiling
@@ -19,142 +20,89 @@ from typing import Dict, Iterator, List, Optional, Tuple
 KINDS = ("fillboundary", "parallelcopy", "reduce", "averagedown", "regrid")
 
 
-@dataclass(frozen=True)
-class Message:
-    """One simulated MPI message."""
-
-    src: int
-    dst: int
-    nbytes: int
-    kind: str
-
-    @property
-    def local(self) -> bool:
-        """True when source and destination rank coincide (a memcpy)."""
-        return self.src == self.dst
-
-
 class CommLedger:
-    """Accumulates simulated messages and summarizes traffic."""
+    """Tallies simulated messages and summarizes traffic."""
 
     def __init__(self, ranks_per_node: int = 6) -> None:
         #: ranks per node; Summit runs 6 ranks/node (one per V100 GPU)
         self.ranks_per_node = ranks_per_node
-        self._messages: List[Message] = []
-        self.enabled = True
-        self._listeners: List[object] = []
-
-    # -- listeners ---------------------------------------------------------
-    def add_listener(self, listener: object) -> None:
-        """Attach an observer whose ``on_message(msg)`` sees each record."""
-        if listener not in self._listeners:
-            self._listeners.append(listener)
-
-    def remove_listener(self, listener: object) -> None:
-        if listener in self._listeners:
-            self._listeners.remove(listener)
+        #: (src, dst, kind) -> [messages, bytes]
+        self._tally: Dict[Tuple[int, int, str], List[int]] = {}
 
     def record(self, src: int, dst: int, nbytes: int, kind: str) -> None:
-        """Append one message; ``kind`` must be one of :data:`KINDS`."""
-        if not self.enabled:
-            return
+        """Count one message; ``kind`` must be one of :data:`KINDS`."""
         if kind not in KINDS:
             raise ValueError(f"unknown message kind {kind!r}")
         if nbytes < 0:
             raise ValueError("message size must be non-negative")
-        msg = Message(src, dst, nbytes, kind)
-        self._messages.append(msg)
-        for listener in self._listeners:
-            listener.on_message(msg)
-
-    @contextmanager
-    def paused(self) -> Iterator["CommLedger"]:
-        """Suspend recording for a block (restores the prior state after)."""
-        prev = self.enabled
-        self.enabled = False
-        try:
-            yield self
-        finally:
-            self.enabled = prev
+        entry = self._tally.get((src, dst, kind))
+        if entry is None:
+            self._tally[(src, dst, kind)] = [1, nbytes]
+        else:
+            entry[0] += 1
+            entry[1] += nbytes
 
     def clear(self, kind: Optional[str] = None) -> None:
-        """Drop recorded messages — all of them, or one ``kind`` only."""
+        """Drop recorded traffic — all of it, or one ``kind`` only."""
         if kind is None:
-            self._messages.clear()
+            self._tally.clear()
             return
         if kind not in KINDS:
             raise ValueError(f"unknown message kind {kind!r}")
-        self._messages = [m for m in self._messages if m.kind != kind]
+        self._tally = {k: v for k, v in self._tally.items() if k[2] != kind}
 
     def __len__(self) -> int:
-        return len(self._messages)
+        return self.count()
 
-    def __iter__(self) -> Iterator[Message]:
-        return iter(self._messages)
-
-    def messages(self, kind: Optional[str] = None) -> List[Message]:
-        if kind is None:
-            return list(self._messages)
-        return [m for m in self._messages if m.kind == kind]
+    def entries(self, kind: Optional[str] = None
+                ) -> Iterator[Tuple[int, int, str, int, int]]:
+        """``(src, dst, kind, messages, bytes)`` per tallied route."""
+        for (src, dst, k), (n, b) in self._tally.items():
+            if kind is None or k == kind:
+                yield src, dst, k, n, b
 
     # -- summaries --------------------------------------------------------
     def total_bytes(self, kind: Optional[str] = None, remote_only: bool = False) -> int:
-        return sum(
-            m.nbytes
-            for m in self._messages
-            if (kind is None or m.kind == kind) and not (remote_only and m.local)
-        )
+        return sum(b for src, dst, _, _, b in self.entries(kind)
+                   if not (remote_only and src == dst))
 
     def count(self, kind: Optional[str] = None, remote_only: bool = False) -> int:
-        return sum(
-            1
-            for m in self._messages
-            if (kind is None or m.kind == kind) and not (remote_only and m.local)
-        )
+        return sum(n for src, dst, _, n, _ in self.entries(kind)
+                   if not (remote_only and src == dst))
 
     def node_of(self, rank: int) -> int:
         return rank // self.ranks_per_node
 
     def off_node_bytes(self, kind: Optional[str] = None) -> int:
         """Bytes crossing node boundaries (priced at network bandwidth)."""
-        return sum(
-            m.nbytes
-            for m in self._messages
-            if (kind is None or m.kind == kind)
-            and self.node_of(m.src) != self.node_of(m.dst)
-        )
+        return sum(b for src, dst, _, _, b in self.entries(kind)
+                   if self.node_of(src) != self.node_of(dst))
 
     def on_node_bytes(self, kind: Optional[str] = None) -> int:
         """Bytes between different ranks on the same node (NVLink/shared mem)."""
-        return sum(
-            m.nbytes
-            for m in self._messages
-            if (kind is None or m.kind == kind)
-            and m.src != m.dst
-            and self.node_of(m.src) == self.node_of(m.dst)
-        )
+        return sum(b for src, dst, _, _, b in self.entries(kind)
+                   if src != dst and self.node_of(src) == self.node_of(dst))
 
     def per_rank_bytes(self, nranks: int, kind: Optional[str] = None,
                        direction: str = "send") -> List[int]:
         """Bytes sent (or received) by each rank, excluding self-messages."""
         out = [0] * nranks
-        for m in self._messages:
-            if kind is not None and m.kind != kind:
-                continue
-            if m.local:
-                continue
-            r = m.src if direction == "send" else m.dst
-            out[r] += m.nbytes
+        for src, dst, _, _, b in self.entries(kind):
+            if src != dst:
+                out[src if direction == "send" else dst] += b
         return out
 
     def by_kind(self) -> Dict[str, Tuple[int, int]]:
         """{kind: (count, bytes)} over all messages."""
         out: Dict[str, Tuple[int, int]] = {}
-        counts: Dict[str, int] = defaultdict(int)
-        volumes: Dict[str, int] = defaultdict(int)
-        for m in self._messages:
-            counts[m.kind] += 1
-            volumes[m.kind] += m.nbytes
-        for k in counts:
-            out[k] = (counts[k], volumes[k])
+        for _, _, k, n, b in self.entries():
+            count, nbytes = out.get(k, (0, 0))
+            out[k] = (count + n, nbytes + b)
+        return out
+
+    def matrix(self, nranks: int) -> List[List[int]]:
+        """Dense rank-to-rank byte matrix (row = src, column = dst)."""
+        out = [[0] * nranks for _ in range(nranks)]
+        for src, dst, _, _, b in self.entries():
+            out[src][dst] += b
         return out

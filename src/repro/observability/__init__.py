@@ -1,4 +1,4 @@
-"""Unified observability: one event model over the three accounting silos.
+"""Unified observability: one event model over the accounting sources.
 
 The paper's evaluation is an observability exercise — TinyProfiler region
 decompositions (Figs. 6-7), kernel-launch accounting for the roofline
@@ -10,19 +10,18 @@ unifies the collectors behind one event model:
   Chrome trace-event JSON (loadable in Perfetto / chrome://tracing);
 - :class:`~repro.observability.metrics.MetricsRegistry` — counters, gauges
   and histograms sampled once per timestep into a JSONL time series;
-- :mod:`~repro.observability.adapters` — listeners that let the existing
-  silos (``TinyProfiler``, ``CommLedger``, the device launch path) emit
-  into the tracer/registry without changing their public APIs;
+- :mod:`~repro.observability.adapters` — listeners that turn
+  ``TinyProfiler`` regions and device launches into tracer spans;
 - :class:`~repro.observability.recorder.RunRecorder` — wires a run to the
-  tracer/registry and writes the artifacts (``trace.json``,
+  tracer, samples the ``CommLedger`` and device tallies into the registry
+  once per step, and writes the artifacts (``trace.json``,
   ``metrics.jsonl``);
 - :mod:`~repro.observability.report` — the run-report CLI
   (``python -m repro.report <run_dir>``).
 """
 
 from repro.observability.adapters import (
-    DeviceMetricsAdapter,
-    LedgerMetricsAdapter,
+    DeviceTraceAdapter,
     ProfilerTraceAdapter,
 )
 from repro.observability.metrics import MetricsRegistry
@@ -38,8 +37,7 @@ __all__ = [
     "MetricsRegistry",
     "RunRecorder",
     "ProfilerTraceAdapter",
-    "LedgerMetricsAdapter",
-    "DeviceMetricsAdapter",
+    "DeviceTraceAdapter",
     "load_chrome_trace",
     "validate_chrome_trace",
 ]

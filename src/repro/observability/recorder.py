@@ -1,12 +1,14 @@
 """RunRecorder: wire a run to the tracer/registry and write the artifacts.
 
 A recorder owns one :class:`Tracer` and one :class:`MetricsRegistry`,
-attaches the silo adapters to a :class:`~repro.core.crocco.Crocco`
+attaches the span adapters to a :class:`~repro.core.crocco.Crocco`
 simulation, snapshots the per-timestep metrics the paper's evaluation
 needs (dt, CFL, active cells per level, tagged cells, regrid count,
 ledger traffic by kind with the on/off-node split, device memory
 high-water, per-kernel flop/byte totals, L2 drift when a validation
-reference is supplied), and finalizes two artifacts:
+reference is supplied), and finalizes two artifacts.  Traffic and
+launch totals are read from the ledger and device tallies at each
+sample, never copied event by event.  The artifacts:
 
 - ``trace_out`` — Chrome trace-event JSON (open in Perfetto), carrying the
   comms matrix and run configuration in ``otherData``;
@@ -15,19 +17,54 @@ reference is supplied), and finalizes two artifacts:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional, Sequence
 
-from repro.observability.adapters import (
-    DeviceMetricsAdapter,
-    LedgerMetricsAdapter,
-    ProfilerTraceAdapter,
-)
+from repro.observability.adapters import DeviceTraceAdapter, ProfilerTraceAdapter
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracer import GPU_STREAM, Tracer
 
 #: conventional artifact names inside a run directory
 TRACE_NAME = "trace.json"
 METRICS_NAME = "metrics.jsonl"
+
+#: per-kernel totals sampled as ``kernel.<name>.<field>``
+KERNEL_FIELDS = ("launches", "points", "flops", "dram_bytes", "l2_bytes",
+                 "l1_bytes")
+
+
+def ledger_gauges(ledger) -> Dict[str, int]:
+    """``ledger.<kind>.{bytes,messages}`` totals of a ledger's tally, plus
+    ``on_node_bytes``/``off_node_bytes`` for messages between ranks."""
+    out: Dict[str, int] = {}
+
+    def add(key: str, value: int) -> None:
+        out[key] = out.get(key, 0) + value
+
+    for src, dst, kind, n, nbytes in ledger.entries():
+        add(f"ledger.{kind}.bytes", nbytes)
+        add(f"ledger.{kind}.messages", n)
+        if src != dst:
+            same_node = ledger.node_of(src) == ledger.node_of(dst)
+            where = "on_node" if same_node else "off_node"
+            add(f"ledger.{kind}.{where}_bytes", nbytes)
+    return out
+
+
+def device_gauges(devices: Sequence) -> Dict[str, int]:
+    """``kernel.<name>.*`` launch totals over every rank's device tally
+    (the roofline inputs), and each launching device's memory
+    high-water as ``device.rank<r>.high_water_bytes``."""
+    out: Dict[str, int] = {}
+    for r, dev in enumerate(devices):
+        for rec, n in dev.launch_tally.items():
+            values = (1, rec.npoints, rec.flops, rec.dram_bytes,
+                      rec.l2_bytes, rec.l1_bytes)
+            for field, value in zip(KERNEL_FIELDS, values):
+                key = f"kernel.{rec.name}.{field}"
+                out[key] = out.get(key, 0) + n * value
+        if dev.launch_tally:
+            out[f"device.rank{r}.high_water_bytes"] = dev.high_water
+    return out
 
 
 class RunRecorder:
@@ -40,7 +77,6 @@ class RunRecorder:
         self.metrics_out = metrics_out
         self.tracer = Tracer()
         self.metrics = MetricsRegistry()
-        self.ledger_adapter: Optional[LedgerMetricsAdapter] = None
         self._sim = None
         self._finalized = False
         if stream_metrics and metrics_out:
@@ -50,20 +86,13 @@ class RunRecorder:
 
     # -- wiring ------------------------------------------------------------
     def attach(self, sim) -> None:
-        """Register adapters on a Crocco simulation's silos."""
+        """Register the span adapters on a Crocco simulation."""
         self._sim = sim
         sim.profiler.add_listener(ProfilerTraceAdapter(self.tracer, rank=0))
         self.tracer.set_thread_name(0, 0, "driver regions")
-        self.ledger_adapter = LedgerMetricsAdapter(
-            self.metrics, sim.comm.ranks_per_node
-        )
-        sim.comm.ledger.add_listener(self.ledger_adapter)
         if sim.devices is not None:
             for r, dev in enumerate(sim.devices):
-                dev.add_listener(
-                    DeviceMetricsAdapter(self.metrics, rank=r,
-                                         tracer=self.tracer)
-                )
+                dev.add_listener(DeviceTraceAdapter(self.tracer, rank=r))
                 self.tracer.set_process_name(r, f"rank {r} ({dev.name})")
                 self.tracer.set_thread_name(r, GPU_STREAM, "gpu stream")
 
@@ -87,10 +116,14 @@ class RunRecorder:
         g("regrids").set(getattr(sim, "regrid_count", 0))
         tag_counts = getattr(sim, "last_tag_counts", {})
         g("tagged_cells").set(sum(tag_counts.values()))
+        tallies = ledger_gauges(sim.comm.ledger)
         if sim.devices is not None:
             g("device.high_water_bytes.max").set(
                 max(d.high_water for d in sim.devices)
             )
+            tallies.update(device_gauges(sim.devices))
+        for name, value in tallies.items():
+            g(name).set(value)
         # execution-backend accounting: cumulative per-kernel-class launch
         # counters (driver-recorded plus counters merged from pool workers)
         backend = getattr(getattr(sim, "kernels", None), "exec_backend", None)
@@ -167,9 +200,7 @@ class RunRecorder:
                 if getattr(sim, "engine", None) is not None else "serial",
             }
             other["nranks"] = sim.comm.nranks
-        if self.ledger_adapter is not None:
-            nranks = sim.comm.nranks if sim is not None else None
-            other["comms_matrix"] = self.ledger_adapter.comms_matrix(nranks)
+            other["comms_matrix"] = sim.comm.ledger.matrix(sim.comm.nranks)
         return other
 
     def finalize(self, sim=None) -> dict:

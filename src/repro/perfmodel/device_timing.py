@@ -1,8 +1,8 @@
 """Simulated wall time for a functional run's recorded GPU launches.
 
-The functional layer records every kernel launch (name, points,
-flop/byte budgets) on the simulated devices; this module prices those
-records with the V100 model, giving per-kernel simulated seconds for a
+The functional layer tallies every kernel launch (name, points,
+flop/byte budgets) on the simulated devices; this module prices that
+tally with the V100 model, giving per-kernel simulated seconds for a
 *real* run — the bridge that lets a laptop-scale run report "what Summit
 would have spent in WENOx" (the measurement behind Fig. 3).
 """
@@ -37,17 +37,17 @@ class DeviceTiming:
 
 def summarize_device(device: GpuDevice,
                      model: Optional[V100Model] = None) -> DeviceTiming:
-    """Price every recorded launch on the V100 model."""
+    """Price every tallied launch on the V100 model."""
     m = model if model is not None else V100Model()
     seconds: Dict[str, float] = {}
     launches: Dict[str, int] = {}
     points: Dict[str, int] = {}
-    for rec in device.launches:
+    for rec, n in device.launch_tally.items():
         budget = _budget_for(rec.name)
         t = m.kernel_time(budget, rec.npoints)
-        seconds[rec.name] = seconds.get(rec.name, 0.0) + t
-        launches[rec.name] = launches.get(rec.name, 0) + 1
-        points[rec.name] = points.get(rec.name, 0) + rec.npoints
+        seconds[rec.name] = seconds.get(rec.name, 0.0) + n * t
+        launches[rec.name] = launches.get(rec.name, 0) + n
+        points[rec.name] = points.get(rec.name, 0) + n * rec.npoints
     return DeviceTiming(seconds, launches, points)
 
 

@@ -1,6 +1,6 @@
 """Price a functional run's recorded traffic on the Summit network model.
 
-This bridges the two layers: the functional solver records every simulated
+This bridges the two layers: the functional solver tallies every simulated
 MPI message in its :class:`~repro.mpi.ledger.CommLedger`; this module
 converts that *measured* traffic — rather than modeled volumes — into
 seconds on the fat-tree model, attributed to the paper's profiling
@@ -40,7 +40,7 @@ def price_ledger(ledger: CommLedger, nranks: int, nodes: int,
     Point-to-point kinds (fillboundary, averagedown) are bounded by the
     busiest receiving rank; global kinds (parallelcopy, regrid) add the
     metadata/handshake term; reductions are priced as binomial trees per
-    recorded round-trip.
+    recorded all-reduce.
     """
     if nodes < 1 or nranks < 1:
         raise ValueError("nodes and nranks must be positive")
@@ -51,25 +51,24 @@ def price_ledger(ledger: CommLedger, nranks: int, nodes: int,
     counts: Dict[str, int] = {}
     rpn = max(1, nranks // nodes)
     for kind in KINDS:
-        msgs = ledger.messages(kind)
-        counts[kind] = len(msgs)
-        if not msgs:
+        counts[kind] = ledger.count(kind)
+        if not counts[kind]:
             seconds[kind] = 0.0
             offb[kind] = onb[kind] = 0
             continue
         recv_off = np.zeros(nranks)
         recv_on = np.zeros(nranks)
         nmsg = np.zeros(nranks, dtype=np.int64)
-        for m in msgs:
-            if m.local:
+        for src, dst, _, n, nbytes in ledger.entries(kind):
+            if src == dst:
                 continue
-            dst = m.dst % nranks
-            src = m.src % nranks
+            dst = dst % nranks
+            src = src % nranks
             if src // rpn == dst // rpn:
-                recv_on[dst] += m.nbytes
+                recv_on[dst] += nbytes
             else:
-                recv_off[dst] += m.nbytes
-                nmsg[dst] += 1
+                recv_off[dst] += nbytes
+                nmsg[dst] += n
         offb[kind] = int(recv_off.sum())
         onb[kind] = int(recv_on.sum())
         t = net.p2p_time(float(recv_off.max()), float(recv_on.max()),
@@ -80,7 +79,9 @@ def price_ledger(ledger: CommLedger, nranks: int, nodes: int,
             # destination sweep is indistinguishable here, so charge once)
             t += cal.pc_meta_per_rank * nranks + net.barrier_time(nranks)
         if kind == "reduce":
-            rounds = max(1, len(msgs) // max(1, 2 * int(np.log2(max(2, nranks)))))
+            # an all-reduce over n ranks records n-1 messages up the
+            # binomial tree and n-1 back down the broadcast
+            rounds = max(1, counts[kind] // max(1, 2 * (nranks - 1)))
             t = rounds * net.reduction_time(nranks)
         seconds[kind] = float(t)
     return PricedLedger(seconds, offb, onb, counts)

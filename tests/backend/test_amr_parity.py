@@ -62,12 +62,13 @@ def device_backend():
 
 
 def launch_names(backend):
-    return [rec.name for dev in backend.devices for rec in dev.launches]
+    # each device's tally keeps its distinct records in first-launch order
+    return [rec.name for dev in backend.devices for rec in dev.launch_tally]
 
 
 def launch_classes(backend):
     return {rec.kernel_class for dev in backend.devices
-            for rec in dev.launches}
+            for rec in dev.launch_tally}
 
 
 def snapshot(mf):

@@ -24,6 +24,19 @@ STEP_PHASES = {
 }
 
 
+class LaunchLog:
+    """Device listener keeping every launch record in launch order (the
+    devices themselves keep only tallies)."""
+
+    def __init__(self, devices):
+        self.records = []
+        for dev in devices:
+            dev.add_listener(self)
+
+    def on_launch(self, device, rec, wall_seconds):
+        self.records.append(rec)
+
+
 def make_sim(version="2.1", executor="serial", backend_target="auto",
              workers=None, max_level=1):
     case = DoubleMachReflection(ncells=(64, 16), curvilinear=True)
@@ -41,7 +54,7 @@ def run_dmr(steps=3, **kwargs):
              for lev in range(sim.finest_level + 1)
              for i, fab in sim.state[lev]}
     backend = sim.kernels.exec_backend
-    launches = [rec for d in sim.devices or [] for rec in d.launches]
+    launches = sum(d.launch_count() for d in sim.devices or [])
     totals = backend.class_totals()
     sim.close()
     return state, launches, totals
@@ -57,8 +70,8 @@ class TestTrajectoryParity:
         for k in h_state:
             assert np.array_equal(h_state[k], d_state[k]), f"mismatch {k}"
         # host target records nothing; device records everything
-        assert h_launches == [] and h_totals == {}
-        assert len(d_launches) > 0 and d_totals
+        assert h_launches == 0 and h_totals == {}
+        assert d_launches > 0 and d_totals
 
     @pytest.mark.skipif(not HAS_FORK, reason="needs fork start method")
     def test_serial_vs_pool_device(self):
@@ -83,14 +96,12 @@ class TestPhaseCoverage:
         one labeled launch record per step."""
         sim = make_sim(backend_target="device")
         sim.initialize()
-        devices = sim.devices
+        log = LaunchLog(sim.devices)
         for step in range(3):
-            before = sum(len(d.launches) for d in devices)
-            marks = [len(d.launches) for d in devices]
+            log.records.clear()
             sim.step()
-            new = [rec for d, m in zip(devices, marks)
-                   for rec in d.launches[m:]]
-            assert sum(len(d.launches) for d in devices) > before
+            new = log.records
+            assert new
             names = [rec.name for rec in new]
             by_class = {rec.name: rec.kernel_class for rec in new}
             for cls, prefixes in STEP_PHASES.items():
@@ -105,11 +116,14 @@ class TestPhaseCoverage:
         from repro.cases.reacting import IgnitionFront
 
         case = IgnitionFront(ncells=64)
+        # the driver's devices tally only driver-side launches: pin the
+        # serial executor so REPRO_EXECUTOR=pool cannot offload them
         sim = Crocco(case, CroccoConfig(version="1.1", max_grid_size=64,
-                                        backend_target="device"))
+                                        backend_target="device",
+                                        executor="serial"))
         sim.initialize()
         sim.run(2)
-        names = {rec.name for d in sim.devices for rec in d.launches}
+        names = {rec.name for d in sim.devices for rec in d.launch_tally}
         sim.close()
         assert "Viscous" in names
 
@@ -163,7 +177,7 @@ class TestConfigPlumbing:
         assert sim.devices is sim.exec_backend.devices
         sim.initialize()
         sim.step()
-        assert any(d.launches for d in sim.devices)
+        assert any(d.launch_tally for d in sim.devices)
         assert sim.gpu_memory_report()[0][1] > 0
         sim.close()
 
@@ -231,8 +245,7 @@ class TestVersionTargetMatrix:
         from repro.kernels import device as device_mod
 
         built = []
-        for cls in (device_mod.GpuDevice, device_mod.Reservation,
-                    device_mod.DeviceArray):
+        for cls in (device_mod.GpuDevice, device_mod.Reservation):
             def init(self, *args, _original=cls.__init__, **kwargs):
                 built.append(type(self).__name__)
                 _original(self, *args, **kwargs)
@@ -258,7 +271,7 @@ class TestVersionTargetMatrix:
             assert "GpuDevice" in built and "Reservation" in built
             assert len(sim.devices) == 2
             assert all(d.bytes_in_use > 0 for d in sim.devices)
-            assert sum(len(d.launches) for d in sim.devices) > 0
+            assert sum(d.launch_count() for d in sim.devices) > 0
             assert sim.exec_backend.class_totals()["flux"]["launches"] > 0
             assert len(sim.gpu_memory_report()) == 2
 

@@ -38,7 +38,7 @@ class TestHostBackend:
     def test_no_accounting(self):
         host = HostBackend()
         host.parallel_for("K", lambda: None, 10)
-        assert host.counters == {}
+        assert host.counters_snapshot() == {}
         assert host.class_totals() == {}
         assert host.worker_launches == 0
 
@@ -63,7 +63,7 @@ class TestDeviceBackend:
     def test_launch_recorded_with_class_and_budget(self):
         be = DeviceBackend()
         be.parallel_for("WENOx", lambda: None, 100, FLUX)
-        rec = be.devices[0].launches[-1]
+        (rec,) = be.devices[0].launch_tally
         assert rec.name == "WENOx"
         assert rec.kernel_class == "flux"
         assert rec.npoints == 100
@@ -85,8 +85,8 @@ class TestDeviceBackend:
         assert [d.name for d in devs] == ["V100-rank0", "V100-rank1"]
         be.parallel_for("K", lambda: None, 1, LaunchSpec(rank=1))
         be.parallel_for("K", lambda: None, 1, LaunchSpec(rank=3))
-        assert len(devs[0].launches) == 0
-        assert len(devs[1].launches) == 2
+        assert devs[0].launch_count() == 0
+        assert devs[1].launch_count() == 2
 
     def test_worker_counter_merge_kept_separate(self):
         be = DeviceBackend()
@@ -95,7 +95,7 @@ class TestDeviceBackend:
             {"update": {"launches": 3, "points": 150, "flops": 10,
                         "dram_bytes": 20}})
         # driver-local counters untouched; totals fold both sources
-        assert be.counters["update"].launches == 1
+        assert be.counters_snapshot()["update"]["launches"] == 1
         assert be.worker_launches == 3
         assert be.class_totals()["update"]["launches"] == 4
         assert be.class_totals()["update"]["points"] == 200
@@ -171,7 +171,7 @@ class TestCurrentBackendContext:
             r = reduce_data("R", np.array([1.0, 3.0]), "max")
         assert out == 42
         assert r == 3.0
-        assert [rec.name for rec in be.devices[0].launches] == ["K", "R"]
+        assert [rec.name for rec in be.devices[0].launch_tally] == ["K", "R"]
 
 
 class TestMakeExecBackend:

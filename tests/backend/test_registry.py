@@ -168,7 +168,7 @@ class TestLaunchSpecContract:
         # the scratch is held on the launching rank's device for the
         # body only, and released before the record is filed
         assert seen == [4000, ("V100-rank1", 0)]
-        assert not be.devices[0].launches
-        assert len(be.devices[1].launches) == 1
+        assert not be.devices[0].launch_tally
+        assert be.devices[1].launch_count() == 1
         assert be.devices[1].high_water == 4000
         assert be.class_totals()["flux"]["points"] == 100

@@ -155,7 +155,7 @@ def test_gpu_device_accounting_in_driver():
     sim.initialize()
     assert sim.devices[0].bytes_in_use > 0  # level state resident
     sim.run(2)
-    names = set(sim.devices[0].launches_by_kernel())
+    names = {rec.name for rec in sim.devices[0].launch_tally}
     assert {"WENOx", "Update", "ComputeDt"} <= names
 
 
@@ -218,8 +218,8 @@ def test_per_rank_gpu_devices():
     assert report[0][1] == report[1][1] > 0
     sim.run(1)
     # kernel launches land on the owning rank's device
-    assert len(sim.devices[0].launches) > 0
-    assert len(sim.devices[1].launches) > 0
+    assert sim.devices[0].launch_count() > 0
+    assert sim.devices[1].launch_count() > 0
 
 
 def test_cpu_backend_has_no_devices():

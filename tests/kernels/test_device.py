@@ -19,9 +19,9 @@ def test_default_is_v100_capacity():
 
 def test_alloc_free_accounting():
     dev = GpuDevice(memory_bytes=1000)
-    a = dev.alloc((10,))  # 80 bytes
+    a = dev.reserve(80)
     assert dev.bytes_in_use == 80
-    b = dev.alloc((5,))
+    b = dev.reserve(40)
     assert dev.bytes_in_use == 120
     a.free()
     assert dev.bytes_in_use == 40
@@ -34,25 +34,16 @@ def test_alloc_free_accounting():
 
 def test_capacity_enforced():
     dev = GpuDevice(memory_bytes=100)
-    dev.alloc((10,))
+    dev.reserve(80)
     with pytest.raises(DeviceMemoryError):
-        dev.alloc((10,))
+        dev.reserve(80)
 
 
 def test_context_manager_frees():
     dev = GpuDevice(memory_bytes=1000)
-    with dev.alloc((10,)) as scratch:
+    with dev.reserve(80):
         assert dev.bytes_in_use == 80
-        scratch.data[...] = 1.0
     assert dev.bytes_in_use == 0
-
-
-def test_upload_copies():
-    dev = GpuDevice()
-    host = np.arange(5.0)
-    d = dev.upload(host)
-    host[0] = 99.0
-    assert d.data[0] == 0.0
 
 
 def budget(flops, dram, l2=1.0, l1=1.0):
@@ -66,7 +57,7 @@ def test_launch_records_and_returns():
     out = be.parallel_for("WENOx", lambda: np.ones(3), 1000,
                           LaunchSpec(budget=budget(600, 400, 1.6, 4.0)))
     assert np.all(out == 1.0)
-    rec = be.devices[0].launches[0]
+    (rec,) = be.devices[0].launch_tally
     assert rec.name == "WENOx"
     assert rec.flops == 600000
     assert rec.dram_bytes == 400000
@@ -82,8 +73,8 @@ def test_reduce():
     with pytest.raises(ValueError):
         be.reduce_data("ComputeDt", np.array([1.0]), "prod")
     dev = be.devices[0]
-    assert len(dev.launches) == 3
-    rec = dev.launches[0]
+    assert dev.launch_count() == 3
+    rec = next(iter(dev.launch_tally))
     assert (rec.npoints, rec.flops, rec.dram_bytes, rec.l2_bytes,
             rec.l1_bytes) == (3, 3, 24, 24, 24)
 
@@ -94,12 +85,28 @@ def test_totals_and_by_kernel():
     be.parallel_for("A", lambda: None, 10, LaunchSpec(budget=budget(2, 4)))
     be.parallel_for("B", lambda: None, 5, LaunchSpec(budget=budget(1, 1)))
     dev = be.devices[0]
-    assert set(dev.launches_by_kernel()) == {"A", "B"}
+    # the two equal "A" launches share one tally entry
+    assert {rec.name: n for rec, n in dev.launch_tally.items()} == {
+        "A": 2, "B": 1}
+    assert dev.launch_count("A") == 2
     tot = dev.totals("A")
     assert tot.flops == 40
     assert dev.totals().npoints == 25
-    dev.reset()
-    assert dev.launches == []
+
+
+def test_listeners_see_every_launch_of_a_shared_entry():
+    be = DeviceBackend()
+    seen = []
+
+    class Probe:
+        def on_launch(self, device, rec, wall_seconds):
+            seen.append((rec.name, rec.npoints))
+
+    be.devices[0].add_listener(Probe())
+    for _ in range(3):
+        be.parallel_for("A", lambda: None, 10, LaunchSpec(budget=budget(2, 4)))
+    assert seen == [("A", 10)] * 3
+    assert list(be.devices[0].launch_tally.values()) == [3]
 
 
 def test_reserve_accounts_without_host_array():

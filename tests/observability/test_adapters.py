@@ -1,17 +1,12 @@
-"""Tests for the silo adapters: profiler, ledger and device listeners."""
+"""Tests for the span adapters: profiler and device listeners."""
 
 import numpy as np
 import pytest
 
 from repro.backend import DeviceBackend, LaunchSpec
 from repro.kernels.counts import KernelBudget
-from repro.mpi.ledger import CommLedger
-from repro.observability.adapters import (
-    DeviceMetricsAdapter,
-    LedgerMetricsAdapter,
-    ProfilerTraceAdapter,
-)
-from repro.observability.metrics import MetricsRegistry
+from repro.observability.adapters import DeviceTraceAdapter, ProfilerTraceAdapter
+from repro.observability.recorder import device_gauges
 from repro.observability.tracer import GPU_STREAM, Tracer
 from repro.profiling.tinyprofiler import TinyProfiler
 
@@ -59,52 +54,18 @@ def test_remove_listener_stops_forwarding():
     assert {e["name"] for e in tracer.events()} == {"A"}
 
 
-def test_ledger_adapter_counters_and_matrix():
-    reg = MetricsRegistry()
-    adapter = LedgerMetricsAdapter(reg, ranks_per_node=2)
-    led = CommLedger()
-    led.add_listener(adapter)
-    led.record(0, 1, 100, "fillboundary")   # same node (ranks 0,1)
-    led.record(0, 2, 50, "fillboundary")    # off node (node 0 -> node 1)
-    led.record(3, 3, 10, "reduce")          # local: no on/off split
-    snap = reg.snapshot()
-    assert snap["ledger.fillboundary.bytes"] == 150
-    assert snap["ledger.fillboundary.messages"] == 2
-    assert snap["ledger.fillboundary.on_node_bytes"] == 100
-    assert snap["ledger.fillboundary.off_node_bytes"] == 50
-    assert snap["ledger.reduce.bytes"] == 10
-    assert "ledger.reduce.on_node_bytes" not in snap
-    m = adapter.comms_matrix()
-    assert m[0][1] == 100 and m[0][2] == 50 and m[3][3] == 10
-    assert len(m) == 4
-    # explicit rank count pads the matrix
-    assert len(adapter.comms_matrix(6)) == 6
-    # ledger's own accounting is unchanged
-    assert led.by_kind()["fillboundary"] == (2, 150)
-
-
-def test_ledger_paused_suppresses_listener():
-    reg = MetricsRegistry()
-    led = CommLedger()
-    led.add_listener(LedgerMetricsAdapter(reg))
-    with led.paused():
-        led.record(0, 1, 999, "reduce")
-    assert reg.snapshot() == {}
-    assert len(led) == 0
-
-
 def test_device_adapter_counts_and_spans():
-    reg = MetricsRegistry()
     tracer = Tracer()
     be = DeviceBackend()
     dev = be.devices[0]
-    dev.add_listener(DeviceMetricsAdapter(reg, rank=0, tracer=tracer))
+    dev.add_listener(DeviceTraceAdapter(tracer, rank=0))
     spec = LaunchSpec(budget=KernelBudget(
         name="test", flops_per_point=10.0, dram_bytes_per_point=8.0,
         l2_amplification=1.6, l1_amplification=4.0, registers_per_thread=64))
     be.parallel_for("WENOx", lambda: None, 1000, spec)
     be.parallel_for("WENOx", lambda: None, 500, spec)
-    snap = reg.snapshot()
+    # the recorder reads launch totals from the device tallies
+    snap = device_gauges(be.devices)
     assert snap["kernel.WENOx.launches"] == 2
     assert snap["kernel.WENOx.points"] == 1500
     assert snap["kernel.WENOx.flops"] == 15000
@@ -113,12 +74,16 @@ def test_device_adapter_counts_and_spans():
     spans = [e for e in tracer.events() if e["ph"] == "X"]
     assert len(spans) == 2
     assert all(e["tid"] == GPU_STREAM and e["cat"] == "kernel" for e in spans)
+    assert [e["args"]["points"] for e in spans] == [1000, 500]
 
 
 def test_device_reduce_notifies_listener():
-    reg = MetricsRegistry()
+    tracer = Tracer()
     be = DeviceBackend()
-    be.devices[0].add_listener(DeviceMetricsAdapter(reg, rank=0))
+    be.devices[0].add_listener(DeviceTraceAdapter(tracer, rank=0))
     out = be.reduce_data("ComputeDt", np.array([3.0, 1.0, 2.0]), op="min")
     assert out == 1.0
-    assert reg.snapshot()["kernel.ComputeDt.launches"] == 1
+    spans = [e for e in tracer.events() if e["ph"] == "X"]
+    assert [(e["name"], e["args"]["class"]) for e in spans] == [
+        ("ComputeDt", "reduction")]
+    assert device_gauges(be.devices)["kernel.ComputeDt.launches"] == 1

@@ -13,7 +13,9 @@ import pytest
 
 from repro.cases.dmr import DoubleMachReflection
 from repro.core.crocco import Crocco, CroccoConfig
+from repro.mpi.ledger import CommLedger
 from repro.observability.metrics import MetricsRegistry
+from repro.observability.recorder import ledger_gauges
 from repro.observability.report import (
     format_report,
     load_run,
@@ -96,6 +98,30 @@ def test_metrics_carry_cells_and_ledger_bytes(recorded_run):
         sim.comm.ledger.total_bytes("fillboundary")
     assert final["ledger.parallelcopy.bytes"] > 0
     assert final["tagged_cells"] > 0
+
+
+def test_ledger_gauges_and_matrix():
+    led = CommLedger(ranks_per_node=2)
+    led.record(0, 1, 100, "fillboundary")   # same node (ranks 0,1)
+    led.record(0, 2, 50, "fillboundary")    # off node (node 0 -> node 1)
+    led.record(3, 3, 10, "reduce")          # local: no on/off split
+    snap = ledger_gauges(led)
+    assert snap["ledger.fillboundary.bytes"] == 150
+    assert snap["ledger.fillboundary.messages"] == 2
+    assert snap["ledger.fillboundary.on_node_bytes"] == 100
+    assert snap["ledger.fillboundary.off_node_bytes"] == 50
+    assert snap["ledger.reduce.bytes"] == 10
+    assert "ledger.reduce.on_node_bytes" not in snap
+    m = led.matrix(4)
+    assert m[0][1] == 100 and m[0][2] == 50 and m[3][3] == 10
+    assert len(m) == 4
+
+
+def test_trace_comms_matrix_is_the_ledger_matrix(recorded_run):
+    run_dir, sim, _bd = recorded_run
+    _events, other = load_chrome_trace(run_dir / "trace.json")
+    assert other["comms_matrix"] == \
+        sim.comm.ledger.matrix(sim.comm.nranks)
 
 
 def test_report_matches_profiler_breakdown(recorded_run):

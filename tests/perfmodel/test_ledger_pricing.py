@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.mpi.comm import Communicator
 from repro.mpi.ledger import CommLedger
+from repro.perfmodel.calibration import CAL
 from repro.perfmodel.ledger_pricing import price_ledger
 
 
@@ -18,6 +20,19 @@ def test_validation_of_inputs():
         price_ledger(CommLedger(), nranks=0, nodes=1)
     with pytest.raises(ValueError):
         price_ledger(CommLedger(), nranks=4, nodes=0)
+
+
+@pytest.mark.parametrize("nranks", [4, 6])
+def test_one_allreduce_prices_as_one_reduction(nranks):
+    # an all-reduce records 2*(nranks-1) messages: up the tree and back
+    comm = Communicator(nranks, ranks_per_node=2)
+    comm.reduce_min([1.0] * nranks)
+    priced = price_ledger(comm.ledger, nranks=nranks, nodes=nranks // 2)
+    assert priced.seconds["reduce"] == CAL.net.reduction_time(nranks)
+    for _ in range(99):
+        comm.reduce_min([1.0] * nranks)
+    priced = price_ledger(comm.ledger, nranks=nranks, nodes=nranks // 2)
+    assert priced.seconds["reduce"] == 100 * CAL.net.reduction_time(nranks)
 
 
 def test_p2p_pricing_scales_with_busiest_rank():
