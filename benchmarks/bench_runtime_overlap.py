@@ -3,8 +3,9 @@
 Runs the same small AMR DMR problem through the task-graph runtime under
 the deterministic ``serial`` executor and the multiprocessing ``pool``
 executor, and records wall time, the pool/serial speedup, and the
-measured comm/compute overlap fraction the scheduler reports (the
-real-schedule counterpart of Fig. 7's nowait/finish decomposition).
+measured comm/compute overlap fraction computed from the scheduler's
+per-task record (the real-schedule counterpart of Fig. 7's nowait/finish
+decomposition) and the lane-measured idle fraction.
 
 The measured speedup is hardware-dependent — on a single-core CI
 container the pool adds fork/IPC overhead instead of parallelism — so
@@ -66,7 +67,7 @@ def test_runtime_overlap_serial_vs_pool(benchmark):
          f"{s_rep.overlap_frac:.1%}", f"{s_rep.idle_frac:.1%}", 1),
         ("pool", f"{p_wall:.3f}", f"{p_rep.overlap_s:.4f}",
          f"{p_rep.overlap_frac:.1%}", f"{p_rep.idle_frac:.1%}",
-         p_rep.nworkers),
+         p_rep.workers),
     ]
     table(f"Runtime executors — DMR {NCELLS}, {NSTEPS} steps "
           f"({os.cpu_count()} CPU core(s))",
@@ -82,7 +83,7 @@ def test_runtime_overlap_serial_vs_pool(benchmark):
            workers=1, speedup=1.0)
     record("runtime_overlap", "executor=pool", p_wall, "s",
            overlap_s=p_rep.overlap_s, overlap_frac=p_rep.overlap_frac,
-           workers=p_rep.nworkers, speedup=speedup)
+           workers=p_rep.workers, speedup=speedup)
 
     # the scheduler posts comm early on both executors: overlap is real
     assert s_rep.overlap_s > 0.0

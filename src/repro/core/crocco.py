@@ -110,9 +110,10 @@ class CroccoConfig:
         default_factory=lambda: os.environ.get("REPRO_EXECUTOR", "serial"))
     #: pool worker count (default: one per CPU core, minimum two)
     workers: Optional[int] = field(default_factory=_workers_from_env)
-    #: collect task-lifecycle spans + overhead attribution (perf.* gauges,
-    #: the report's Bottleneck section); measured cost is ~per-task dict
-    #: bookkeeping, itself reported as perf.overhead_s
+    #: publish the task-lifecycle attribution (perf.* gauges, the report's
+    #: Bottleneck section); the per-task record itself is always kept —
+    #: the runtime.* gauges are computed from it — and its measured cost
+    #: is reported as perf.overhead_s
     perfscope: bool = True
     #: execution-backend target: any name in the target registry —
     #: "host" (plain NumPy), "device" (recorded launches on the
@@ -296,8 +297,7 @@ class Crocco(AmrCore):
         from repro.runtime.engine import RuntimeEngine
 
         self.engine = RuntimeEngine(self, self.config.executor,
-                                    self.config.workers,
-                                    perfscope=self.config.perfscope)
+                                    self.config.workers)
 
         self.watchdog = None
         has_budget = (self.config.step_budget is not None

@@ -10,8 +10,11 @@ unifies the collectors behind one event model:
   Chrome trace-event JSON (loadable in Perfetto / chrome://tracing);
 - :class:`~repro.observability.metrics.MetricsRegistry` — counters, gauges
   and histograms sampled once per timestep into a JSONL time series;
-- :mod:`~repro.observability.adapters` — listeners that turn
-  ``TinyProfiler`` regions and device launches into tracer spans;
+- :mod:`~repro.observability.adapters` — the listener that turns device
+  launches into tracer spans (a bound ``TinyProfiler`` writes its own
+  region spans);
+- :mod:`~repro.observability.perfscope` — the runtime's per-task record
+  and the overlap/lifecycle attribution computed from it;
 - :class:`~repro.observability.recorder.RunRecorder` — wires a run to the
   tracer, samples the ``CommLedger`` and device tallies into the registry
   once per step, and writes the artifacts (``trace.json``,
@@ -20,10 +23,7 @@ unifies the collectors behind one event model:
   (``python -m repro.report <run_dir>``).
 """
 
-from repro.observability.adapters import (
-    DeviceTraceAdapter,
-    ProfilerTraceAdapter,
-)
+from repro.observability.adapters import DeviceTraceAdapter
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.recorder import RunRecorder
 from repro.observability.tracer import (
@@ -36,7 +36,6 @@ __all__ = [
     "Tracer",
     "MetricsRegistry",
     "RunRecorder",
-    "ProfilerTraceAdapter",
     "DeviceTraceAdapter",
     "load_chrome_trace",
     "validate_chrome_trace",

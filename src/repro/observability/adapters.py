@@ -1,53 +1,16 @@
-"""Adapters: listeners that turn profiler regions and launches into spans.
+"""Adapters: the device-launch listener that turns launches into spans.
 
-Each adapter implements the listener callbacks of one event source
-(``TinyProfiler`` regions, ``GpuDevice`` launches) and forwards the
-events into the unified :class:`~repro.observability.tracer.Tracer`.
-Totals are not copied here: the ledger and the devices keep bounded
-tallies that :class:`~repro.observability.recorder.RunRecorder` reads
-once per step.
+:class:`DeviceTraceAdapter` implements the ``GpuDevice`` listener
+callback and forwards each launch into the unified
+:class:`~repro.observability.tracer.Tracer`.  (The ``TinyProfiler``
+writes its own region spans once bound to a tracer.)  Totals are not
+copied here: the ledger and the devices keep bounded tallies that
+:class:`~repro.observability.recorder.RunRecorder` reads once per step.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
-
-from repro.observability.tracer import DRIVER_STREAM, GPU_STREAM, Tracer
-
-
-class ProfilerTraceAdapter:
-    """TinyProfiler listener: regions become spans on a driver track.
-
-    Wall regions (``region``) become measured wall spans; charges and
-    charged regions (``charge`` / ``charged_region``) become charged spans
-    laid out on the track's simulated clock — so the functional driver and
-    the Summit performance model export the same span structure.
-    """
-
-    def __init__(self, tracer: Tracer, rank: int = 0,
-                 stream: int = DRIVER_STREAM) -> None:
-        self.tracer = tracer
-        self.rank = rank
-        self.stream = stream
-
-    def on_enter(self, path: Tuple[str, ...]) -> None:
-        self.tracer.begin(path[-1], self.rank, self.stream, cat="region",
-                          args={"path": "/".join(path)})
-
-    def on_exit(self, path: Tuple[str, ...], seconds: float) -> None:
-        self.tracer.end(self.rank, self.stream)
-
-    def on_charge(self, path: Tuple[str, ...], seconds: float,
-                  calls: int) -> None:
-        self.tracer.charge(path[-1], seconds, self.rank, self.stream,
-                           args={"path": "/".join(path), "calls": calls})
-
-    def on_enter_charged(self, path: Tuple[str, ...]) -> None:
-        self.tracer.begin_charged(path[-1], self.rank, self.stream,
-                                  args={"path": "/".join(path)})
-
-    def on_exit_charged(self, path: Tuple[str, ...]) -> None:
-        self.tracer.end_charged(self.rank, self.stream)
+from repro.observability.tracer import GPU_STREAM, Tracer
 
 
 class DeviceTraceAdapter:

@@ -19,14 +19,22 @@ Idle is measured from the gaps between intervals, **not** computed as
 ``capacity - everything else``, so the bucket sum matching capacity is
 a real cross-process clock reconciliation check (the bench asserts it
 within 5%), not an identity that holds by construction.
+
+The same pass yields the scheduler statistics the ``runtime.*`` gauges
+and the report's overlap section show: task counts and execute seconds
+by kind, and the **measured overlap** — compute time that ran while a
+posted exchange was in flight.  A ``comm-post`` task's finish opens its
+channel's window; the first consumer of that channel to start closes it
+(a window never closed ends at the makespan).  This is the quantity
+Fig. 7's nowait/finish decomposition models.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import time
+from typing import Dict, Hashable, List, Sequence, Tuple
 
-from repro.observability.perfscope.critpath import (critical_path,
-                                                    critical_path_tasks)
+from repro.observability.perfscope.critpath import critical_path, span_weight
 from repro.observability.perfscope.lifecycle import StageTrace, box_of
 
 #: the capacity-tiling buckets, in render order
@@ -35,6 +43,11 @@ BUCKETS = ("serialize", "queue_wait", "execute", "result", "merge", "idle")
 #: per-kernel-class lifecycle columns (result here is per-task latency)
 CLASS_FIELDS = ("count", "serialize_s", "queue_wait_s", "execute_s",
                 "result_s", "merge_s")
+
+#: summed seconds fields, accumulated by :meth:`StepPerf.merge`
+_SUMMED = ("makespan", "capacity", "serialize", "queue_wait", "execute",
+           "result", "merge", "idle", "deserialize", "critical_path",
+           "posted_comm", "finish_comm", "compute", "overlap", "overhead")
 
 
 def _merge_intervals(ivals: List[Tuple[float, float]]) -> List[Tuple[float, float]]:
@@ -102,7 +115,14 @@ class StepPerf:
         self.pickle_bytes = 0
         self.critical_path_s = 0.0
         self.reconcile_errors = 0
+        #: measured cost of building and attributing the stage records
         self.overhead_s = 0.0
+        #: task kind -> number of tasks
+        self.tasks_by_kind: Dict[str, int] = {}
+        self.posted_comm_s = 0.0   # execute time of comm-post tasks (packing)
+        self.finish_comm_s = 0.0   # execute time of comm-wait tasks (unpacking)
+        self.compute_s = 0.0       # execute time of compute tasks
+        self.overlap_s = 0.0       # compute time under an open comm window
         #: lane index -> idle seconds (the per-worker idle-gap timeline)
         self.lane_idle: Dict[int, float] = {}
         #: task name -> weighted seconds on some stage's critical path
@@ -130,6 +150,22 @@ class StepPerf:
             return 0.0
         return self.execute_s / self.critical_path_s
 
+    @property
+    def overlap_frac(self) -> float:
+        """Fraction of compute time that ran while comm was in flight."""
+        return self.overlap_s / self.compute_s if self.compute_s > 0 else 0.0
+
+    @property
+    def idle_frac(self) -> float:
+        """Lane-measured idle seconds as a fraction of capacity."""
+        return self.idle_s / self.capacity_s if self.capacity_s > 0 else 0.0
+
+    @property
+    def workers(self) -> int:
+        """Executing workers: a pool's lanes are the driver plus its
+        workers; a serial run's one lane is its worker."""
+        return self.nlanes - 1 if self.nlanes > 1 else 1
+
     def bucket(self, name: str) -> float:
         return getattr(self, f"{name}_s")
 
@@ -139,14 +175,13 @@ class StepPerf:
         self.nlanes = max(self.nlanes, other.nlanes)
         self.tasks += other.tasks
         self.offloaded += other.offloaded
-        self.makespan_s += other.makespan_s
-        self.capacity_s += other.capacity_s
-        for b in ("serialize", "queue_wait", "execute", "result", "merge",
-                  "idle", "deserialize", "critical_path"):
+        for b in _SUMMED:
             setattr(self, f"{b}_s",
                     getattr(self, f"{b}_s") + getattr(other, f"{b}_s"))
         self.pickle_bytes += other.pickle_bytes
         self.reconcile_errors += other.reconcile_errors
+        for kind, n in other.tasks_by_kind.items():
+            self.tasks_by_kind[kind] = self.tasks_by_kind.get(kind, 0) + n
         for lane, s in other.lane_idle.items():
             self.lane_idle[lane] = self.lane_idle.get(lane, 0.0) + s
         for name, s in other.cp_tasks.items():
@@ -160,15 +195,23 @@ class StepPerf:
             self.box_costs[key] = self.box_costs.get(key, 0.0) + s
         return self
 
-    @classmethod
-    def from_traces(cls, traces: Sequence[StageTrace]) -> "StepPerf":
-        step = cls()
-        for trace in traces:
-            step.merge(attribute_stage(trace))
-        step.cp_tasks = critical_path_tasks(traces)
-        return step
-
     # -- export ------------------------------------------------------------
+    def runtime_gauges(self) -> Dict[str, float]:
+        """Flat dict for the recorder's per-step ``runtime.*`` gauges."""
+        out = {
+            "posted_comm_s": self.posted_comm_s,
+            "finish_comm_s": self.finish_comm_s,
+            "compute_s": self.compute_s,
+            "overlap_s": self.overlap_s,
+            "overlap_frac": self.overlap_frac,
+            "idle_frac": self.idle_frac,
+            "makespan_s": self.makespan_s,
+            "workers": float(self.workers),
+        }
+        for kind, n in self.tasks_by_kind.items():
+            out[f"tasks.{kind.replace('-', '_')}"] = float(n)
+        return out
+
     def as_gauges(self, top_cp: int = 8) -> Dict[str, float]:
         """Flat dict for the recorder's ``perf.*`` gauges."""
         out = {
@@ -206,8 +249,38 @@ class StepPerf:
         return out
 
 
+def comm_windows(trace: StageTrace) -> List[Tuple[float, float]]:
+    """In-flight windows of a stage's posted exchanges.
+
+    Sweeps post finishes and consumer starts in time order (a finish
+    before a start at the same instant): a ``comm-post`` finishing
+    (re)opens its channel's window, the next consumer to start closes
+    it, and a window still open at the end closes at the makespan.
+    """
+    events: List[Tuple[float, int, int]] = []
+    for i, s in enumerate(trace.spans):
+        if s.channel is None or s.t_started is None:
+            continue
+        if s.kind == "comm-post":
+            events.append((s.t_finished, 0, i))
+        else:
+            events.append((s.t_started, 1, i))
+    opened: Dict[Hashable, float] = {}
+    windows: List[Tuple[float, float]] = []
+    for t, is_consumer, i in sorted(events):
+        channel = trace.spans[i].channel
+        if not is_consumer:
+            opened[channel] = t
+        elif channel in opened:
+            windows.append((opened.pop(channel), t))
+    windows.extend((t, trace.makespan_s) for t in opened.values())
+    return windows
+
+
 def attribute_stage(trace: StageTrace) -> StepPerf:
-    """Tile one stage's capacity into the lifecycle buckets."""
+    """Tile one stage's capacity into the lifecycle buckets and measure
+    its comm/compute overlap; the returned record carries its own cost."""
+    t_attr = time.perf_counter()
     step = StepPerf()
     step.stages = 1
     step.nlanes = trace.nlanes
@@ -215,13 +288,25 @@ def attribute_stage(trace: StageTrace) -> StepPerf:
     step.makespan_s = trace.makespan_s
     step.capacity_s = trace.makespan_s * trace.nlanes
     step.reconcile_errors = trace.reconcile_errors
-    step.critical_path_s, _ = critical_path(trace)
+    step.critical_path_s, path = critical_path(trace)
+    for s in path:
+        step.cp_tasks[s.name] = step.cp_tasks.get(s.name, 0.0) + span_weight(s)
 
     lane_busy: Dict[int, List[Tuple[float, float]]] = {
         lane: [] for lane in range(trace.nlanes)}
     result_windows: List[Tuple[float, float]] = []
+    compute_spans: List[Tuple[float, float]] = []
 
     for s in trace.spans:
+        step.tasks_by_kind[s.kind] = step.tasks_by_kind.get(s.kind, 0) + 1
+        if s.kind == "comm-post":
+            step.posted_comm_s += s.execute_s
+        elif s.kind == "comm-wait":
+            step.finish_comm_s += s.execute_s
+        elif s.kind == "compute":
+            step.compute_s += s.execute_s
+            if s.t_started is not None and s.t_finished is not None:
+                compute_spans.append((s.t_started, s.t_finished))
         cols = step.per_class.setdefault(
             s.kclass, {f: 0.0 for f in CLASS_FIELDS})
         cols["count"] += 1
@@ -273,4 +358,6 @@ def attribute_stage(trace: StageTrace) -> StepPerf:
             idle -= waiting
         step.lane_idle[lane] = max(0.0, idle)
         step.idle_s += max(0.0, idle)
+    step.overlap_s = _overlap(compute_spans, comm_windows(trace))
+    step.overhead_s = trace.overhead_s + time.perf_counter() - t_attr
     return step

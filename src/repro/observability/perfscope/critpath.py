@@ -11,7 +11,7 @@ how much of the DAG's theoretical concurrency a schedule achieved.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.observability.perfscope.lifecycle import StageTrace, TaskSpan
 
@@ -56,17 +56,3 @@ def critical_path(trace: StageTrace) -> Tuple[float, List[TaskSpan]]:
     path.reverse()
     return best[end], path
 
-
-def critical_path_tasks(traces: Sequence[StageTrace]) -> Dict[str, float]:
-    """Aggregate critical-path membership across stages: name -> seconds.
-
-    The per-name seconds are the weighted span contributions of every
-    appearance on some stage's critical path — the tasks to shrink
-    first when attacking the makespan.
-    """
-    out: Dict[str, float] = {}
-    for trace in traces:
-        _, path = critical_path(trace)
-        for s in path:
-            out[s.name] = out.get(s.name, 0.0) + span_weight(s)
-    return out

@@ -1,4 +1,4 @@
-"""Task-lifecycle spans and the PerfScope coordinator.
+"""Task-lifecycle spans: the scheduler's one per-task record.
 
 A :class:`TaskSpan` records one task's lifecycle timestamps, all in
 seconds relative to the owning stage's ``t0_abs`` (a ``perf_counter``
@@ -9,24 +9,20 @@ reconcile by simple subtraction; any negative interval that survives
 (clock trouble, interrupted writes) is clamped and counted in
 ``reconcile_errors`` rather than poisoning the attribution.
 
-The :class:`PerfScope` object is the driver-side coordinator: the
-scheduler opens one :class:`StageTrace` per executed graph and feeds it
-lifecycle events; at end of step the engine asks the scope to finalize
-the stage traces into a :class:`~repro.observability.perfscope.attribution.StepPerf`.
-PerfScope also meters its *own* bookkeeping cost (``overhead_s``) so
-the attribution overhead is itself measured and reported.
+The scheduler opens one :class:`StageTrace` per executed graph and
+feeds it lifecycle events; everything else — the ``runtime.*`` overlap
+statistics, the ``perf.*`` attribution and the Chrome-trace task tracks
+— is computed from the closed trace.  A trace meters the cost of its
+own construction (``overhead_s``) so the bookkeeping is itself measured
+and reported.
 """
 
 from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
-
-#: recognised lifecycle phases, in order
-PHASES = ("created", "enqueued", "pickled", "dispatched", "started",
-          "finished", "collected", "merged")
+from dataclasses import dataclass
+from typing import Dict, Hashable, List, Optional, Tuple
 
 _BOX_RE = re.compile(r"\(L(\d+),b(\d+)\)")
 
@@ -55,6 +51,7 @@ class TaskSpan:
     kind: str
     kclass: str
     deps: Tuple[int, ...] = ()
+    channel: Optional[Hashable] = None  # comm channel posted or consumed
     lane: int = 0                 # 0 = driver, 1..N = pool workers
     offloaded: bool = False
     t_enqueued: Optional[float] = None
@@ -100,18 +97,23 @@ class TaskSpan:
 class StageTrace:
     """Lifecycle spans of one executed stage graph."""
 
-    def __init__(self, graph, nlanes: int, sid_base: int = 0) -> None:
-        self.t0_abs = time.perf_counter()
+    def __init__(self, graph, nlanes: int, sid_base: int = 0,
+                 t0_abs: Optional[float] = None) -> None:
+        t_build = time.perf_counter()
+        self.t0_abs = t_build if t0_abs is None else t0_abs
         self.nlanes = max(1, int(nlanes))
         self.makespan_s = 0.0
         self.reconcile_errors = 0
         self.spans: List[TaskSpan] = [
             TaskSpan(sid=sid_base + t.tid, name=t.name, kind=t.kind,
                      kclass=kernel_class(t.name),
-                     deps=tuple(sid_base + d for d in t.deps))
+                     deps=tuple(sid_base + d for d in t.deps),
+                     channel=t.channel)
             for t in graph.tasks
         ]
         self._sid_base = sid_base
+        #: measured cost of building this record (seconds)
+        self.overhead_s = time.perf_counter() - t_build
 
     # -- event hooks (tid = task id within this stage's graph) -------------
     def sid(self, tid: int) -> int:
@@ -174,51 +176,3 @@ class StageTrace:
     def close(self, makespan_s: float) -> None:
         self.makespan_s = makespan_s
 
-
-class PerfScope:
-    """Driver-side collector: stage traces -> per-step attribution."""
-
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
-        #: measured cost of perfscope's own bookkeeping (seconds)
-        self.overhead_s = 0.0
-        self._stage_traces: List[StageTrace] = []
-        self._next_sid = 0
-        self.total = None  # type: Optional[object]  # StepPerf
-        self.last_step = None  # type: Optional[object]  # StepPerf
-
-    # -- step/stage lifecycle ---------------------------------------------
-    def begin_step(self) -> None:
-        self._stage_traces = []
-
-    def begin_stage(self, graph, nlanes: int) -> Optional[StageTrace]:
-        if not self.enabled:
-            return None
-        t0 = time.perf_counter()
-        trace = StageTrace(graph, nlanes, sid_base=self._next_sid)
-        self._next_sid += len(graph.tasks)
-        self._stage_traces.append(trace)
-        self.overhead_s += time.perf_counter() - t0
-        return trace
-
-    def abort_step(self) -> None:
-        """Drop the partially collected step (watchdog rollback)."""
-        self._stage_traces = []
-
-    def finalize_step(self):
-        """Fold the step's stage traces into a StepPerf; returns it."""
-        from repro.observability.perfscope.attribution import StepPerf
-
-        if not self.enabled:
-            return None
-        t0 = time.perf_counter()
-        step = StepPerf.from_traces(self._stage_traces)
-        self._stage_traces = []
-        if self.total is None:
-            self.total = StepPerf()
-        self.total.merge(step)
-        self.last_step = step
-        self.overhead_s += time.perf_counter() - t0
-        self.total.overhead_s = self.overhead_s
-        step.overhead_s = self.overhead_s
-        return step

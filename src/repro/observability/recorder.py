@@ -1,14 +1,16 @@
 """RunRecorder: wire a run to the tracer/registry and write the artifacts.
 
 A recorder owns one :class:`Tracer` and one :class:`MetricsRegistry`,
-attaches the span adapters to a :class:`~repro.core.crocco.Crocco`
-simulation, snapshots the per-timestep metrics the paper's evaluation
-needs (dt, CFL, active cells per level, tagged cells, regrid count,
+binds the tracer to a :class:`~repro.core.crocco.Crocco` simulation's
+profiler and devices, snapshots the per-timestep metrics the paper's
+evaluation needs (dt, CFL, active cells per level, tagged cells, regrid count,
 ledger traffic by kind with the on/off-node split, device memory
 high-water, per-kernel flop/byte totals, L2 drift when a validation
 reference is supplied), and finalizes two artifacts.  Traffic and
 launch totals are read from the ledger and device tallies at each
-sample, never copied event by event.  The artifacts:
+sample, never copied event by event; the ``runtime.*`` and ``perf.*``
+gauges are read from the runtime engine's per-step and whole-run
+attribution records.  The artifacts:
 
 - ``trace_out`` — Chrome trace-event JSON (open in Perfetto), carrying the
   comms matrix and run configuration in ``otherData``;
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-from repro.observability.adapters import DeviceTraceAdapter, ProfilerTraceAdapter
+from repro.observability.adapters import DeviceTraceAdapter
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracer import GPU_STREAM, Tracer
 
@@ -68,7 +70,7 @@ def device_gauges(devices: Sequence) -> Dict[str, int]:
 
 
 class RunRecorder:
-    """Tracer + registry + adapters for one recorded run."""
+    """Tracer + registry for one recorded run."""
 
     def __init__(self, trace_out: Optional[str] = None,
                  metrics_out: Optional[str] = None,
@@ -86,9 +88,9 @@ class RunRecorder:
 
     # -- wiring ------------------------------------------------------------
     def attach(self, sim) -> None:
-        """Register the span adapters on a Crocco simulation."""
+        """Route a Crocco simulation's region and launch spans here."""
         self._sim = sim
-        sim.profiler.add_listener(ProfilerTraceAdapter(self.tracer, rank=0))
+        sim.profiler.bind_tracer(self.tracer, rank=0)
         self.tracer.set_thread_name(0, 0, "driver regions")
         if sim.devices is not None:
             for r, dev in enumerate(sim.devices):
@@ -142,19 +144,17 @@ class RunRecorder:
                 g(f"backend.scratch.{name}").set(float(value))
         engine = getattr(sim, "engine", None)
         if engine is not None and engine.last_step_report is not None:
-            rep = engine.last_step_report
-            for name, value in rep.as_dict().items():
+            for name, value in engine.last_step_report.runtime_gauges().items():
                 g(f"runtime.{name}").set(value)
-        if engine is not None and engine.last_step_worker_counters:
-            g("runtime.worker_launches").set(sum(
-                int(d.get("launches", 0))
-                for d in engine.last_step_worker_counters.values()))
-        # lifecycle attribution: cumulative run totals (like device.class.*)
-        # so the report only needs the final record
-        scope = getattr(engine, "perfscope", None) if engine else None
-        if scope is not None and scope.total is not None:
-            for name, value in scope.total.as_gauges().items():
-                g(f"perf.{name}").set(value)
+            if engine.last_step_worker_counters:
+                g("runtime.worker_launches").set(sum(
+                    int(d.get("launches", 0))
+                    for d in engine.last_step_worker_counters.values()))
+            # lifecycle attribution: cumulative run totals (like
+            # device.class.*) so the report only needs the final record
+            if sim.config.perfscope:
+                for name, value in engine.total_report.as_gauges().items():
+                    g(f"perf.{name}").set(value)
         guard = getattr(sim, "guard", None)
         if guard is not None:
             # the guard indexes interventions by the step that produced

@@ -4,9 +4,9 @@ The weak-scaling driver models each Table-I configuration as one solver
 iteration (Fig. 6's region decomposition, Fig. 7's FillPatch split).
 This module replays those modeled iterations through the same
 observability pipeline a functional run uses — TinyProfiler charges
-forwarded by a :class:`ProfilerTraceAdapter` into a charged-clock
-:class:`Tracer`, per-step gauges in a :class:`MetricsRegistry` — so a
-simulated run directory holds the *same* ``trace.json`` /
+written as charged-clock spans into the :class:`Tracer` it is bound to,
+per-step gauges in a :class:`MetricsRegistry` — so a simulated run
+directory holds the *same* ``trace.json`` /
 ``metrics.jsonl`` artifacts (charged time instead of wall time) and
 ``python -m repro.report`` regenerates the Fig. 6/7 decompositions from
 the artifacts alone.
@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.versions import get_version
-from repro.observability.adapters import ProfilerTraceAdapter
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.recorder import METRICS_NAME, TRACE_NAME
 from repro.observability.tracer import Tracer
@@ -78,7 +77,7 @@ def export_weak_scaling(
     tracer.set_thread_name(0, 0, "charged regions")
     metrics = MetricsRegistry()
     profiler = TinyProfiler()
-    profiler.add_listener(ProfilerTraceAdapter(tracer, rank=0))
+    profiler.bind_tracer(tracer, rank=0)
 
     charged_total = 0.0
     for step, (nodes, _gpus, pts) in enumerate(table):

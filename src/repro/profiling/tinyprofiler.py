@@ -9,6 +9,12 @@ Besides wall-clock timing, regions accept *charged* time so the Summit
 performance model can attribute simulated seconds to the same region
 names (FillPatch, Advance, Regrid, ComputeDt, AverageDown, and the
 FillPatch internals ParallelCopy/FillBoundary).
+
+A profiler bound to a :class:`~repro.observability.tracer.Tracer`
+writes its own spans on the rank's driver track as it accumulates:
+wall regions become measured wall spans, charges and charged regions
+become charged spans on the track's simulated clock — so the functional
+driver and the Summit performance model export the same span structure.
 """
 
 from __future__ import annotations
@@ -34,35 +40,21 @@ class RegionStats:
 
 
 class TinyProfiler:
-    """Nested region timer with charge (simulated-time) support.
-
-    Listeners (see :mod:`repro.observability.adapters`) receive every
-    region enter/exit and charge as it happens, so traces can be exported
-    without changing how regions are declared.
-    """
+    """Nested region timer with charge (simulated-time) support."""
 
     def __init__(self) -> None:
         self._stats: Dict[Tuple[str, ...], RegionStats] = {}
         self._stack: List[Tuple[str, ...]] = []
         self._wall_open: set = set()  # paths currently timed by region()
-        self._listeners: List[object] = []
+        #: tracer receiving this profiler's spans (None: no spans)
+        self.tracer = None
+        self.rank = 0
 
-    # -- listeners ---------------------------------------------------------
-    def add_listener(self, listener: object) -> None:
-        """Attach an observer with on_enter/on_exit/on_charge/
-        on_enter_charged/on_exit_charged callbacks (all optional)."""
-        if listener not in self._listeners:
-            self._listeners.append(listener)
-
-    def remove_listener(self, listener: object) -> None:
-        if listener in self._listeners:
-            self._listeners.remove(listener)
-
-    def _notify(self, event: str, *args) -> None:
-        for listener in self._listeners:
-            cb = getattr(listener, event, None)
-            if cb is not None:
-                cb(*args)
+    def bind_tracer(self, tracer, rank: int = 0) -> None:
+        """Write every region and charge as a span on ``rank``'s driver
+        track of ``tracer`` (``cat`` region/charged, ``args.path``)."""
+        self.tracer = tracer
+        self.rank = rank
 
     @contextmanager
     def region(self, name: str) -> Iterator[None]:
@@ -70,7 +62,10 @@ class TinyProfiler:
         path = tuple(self._stack[-1] if self._stack else ()) + (name,)
         self._stack.append(path)
         self._wall_open.add(path)
-        self._notify("on_enter", path)
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.begin(name, self.rank, cat="region",
+                         args={"path": "/".join(path)})
         t0 = time.perf_counter()
         try:
             yield
@@ -79,7 +74,8 @@ class TinyProfiler:
             self._stack.pop()
             self._wall_open.discard(path)
             self._accumulate(path, dt)
-            self._notify("on_exit", path, dt)
+            if tracer is not None:
+                tracer.end(self.rank)
 
     def charge(self, name: str, seconds: float, calls: int = 1) -> None:
         """Attribute simulated time to a region under the current nesting."""
@@ -87,21 +83,27 @@ class TinyProfiler:
             raise ValueError("cannot charge negative time")
         path = tuple(self._stack[-1] if self._stack else ()) + (name,)
         self._accumulate(path, seconds, calls)
-        self._notify("on_charge", path, seconds, calls)
+        if self.tracer is not None:
+            self.tracer.charge(name, seconds, self.rank,
+                               args={"path": "/".join(path), "calls": calls})
 
     @contextmanager
     def charged_region(self, name: str) -> Iterator[None]:
         """A zero-wall-time nesting context for structuring charges."""
         path = tuple(self._stack[-1] if self._stack else ()) + (name,)
         self._stack.append(path)
-        self._notify("on_enter_charged", path)
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.begin_charged(name, self.rank,
+                                 args={"path": "/".join(path)})
         try:
             yield
         finally:
             self._stack.pop()
             if path not in self._stats:
                 self._stats[path] = RegionStats(name=name)
-            self._notify("on_exit_charged", path)
+            if tracer is not None:
+                tracer.end_charged(self.rank)
 
     def _accumulate(self, path: Tuple[str, ...], dt: float, calls: int = 1) -> None:
         stats = self._stats.setdefault(path, RegionStats(name=path[-1]))

@@ -11,8 +11,9 @@ runtime with the same structure:
   on (MultiFab id, box id, component range); dependencies (RAW/WAR/WAW)
   are inferred automatically.
 - :mod:`repro.runtime.scheduler` — ready-queue topological execution
-  with comm-posting priority, per-task tracer spans, and measured
-  comm/compute overlap + worker idle statistics per step.
+  with comm-posting priority; each task is timed once into a per-stage
+  perfscope record, from which the per-task tracer spans and the
+  measured comm/compute overlap + worker idle statistics are computed.
 - :mod:`repro.runtime.executors` — pluggable executors: ``serial``
   (deterministic, bit-identical to the eager driver) and ``pool``
   (real ``multiprocessing`` workers over SharedMemory-backed FABs).
@@ -20,20 +21,19 @@ runtime with the same structure:
   processes operate on patch data in place.
 - :mod:`repro.runtime.engine` — the driver-facing facade that builds
   per-RK-stage graphs (:mod:`repro.runtime.rk3graph`) and accumulates
-  per-step schedule reports.
+  their attribution into per-step and whole-run records.
 """
 
 from repro.runtime.engine import RuntimeEngine
 from repro.runtime.executors import EXECUTORS, make_executor
 from repro.runtime.graph import DataKey, Task, TaskGraph
-from repro.runtime.scheduler import ScheduleReport, Scheduler
+from repro.runtime.scheduler import Scheduler
 
 __all__ = [
     "DataKey",
     "Task",
     "TaskGraph",
     "Scheduler",
-    "ScheduleReport",
     "RuntimeEngine",
     "EXECUTORS",
     "make_executor",

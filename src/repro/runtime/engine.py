@@ -1,21 +1,22 @@
 """RuntimeEngine: the driver-facing facade over the task runtime.
 
 Owns the executor, the shared-memory arena (pool mode), and the
-scheduler; builds one task graph per RK stage and accumulates the
-per-stage :class:`~repro.runtime.scheduler.ScheduleReport` into a
-per-step report the observability layer samples (``runtime.*`` gauges,
-the run report's Overlap section).
+scheduler; builds one task graph per RK stage, attributes each stage's
+:class:`~repro.observability.perfscope.StageTrace` and accumulates the
+results into a per-step
+:class:`~repro.observability.perfscope.StepPerf` the observability
+layer samples (``runtime.*`` and ``perf.*`` gauges, the run report's
+overlap and bottleneck sections).
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.observability.perfscope import PerfScope
+from repro.observability.perfscope import StepPerf, attribute_stage
 from repro.runtime.executors import make_executor, set_worker_context
 from repro.runtime.rk3graph import build_stage_graph
-from repro.runtime.scheduler import (RUNTIME_STREAM_BASE, ScheduleReport,
-                                     Scheduler)
+from repro.runtime.scheduler import RUNTIME_STREAM_BASE, Scheduler
 from repro.runtime.shm import SharedArena
 
 #: MultiFab tags a level contributes to the shared arena
@@ -26,8 +27,7 @@ class RuntimeEngine:
     """Task-graph execution of the CRoCCo advance for one simulation."""
 
     def __init__(self, sim, executor: str = "serial",
-                 workers: Optional[int] = None,
-                 perfscope: bool = True) -> None:
+                 workers: Optional[int] = None) -> None:
         self.sim = sim
         #: the simulation's fault injector, if a fault plan is active
         self.faults = getattr(sim, "faults", None)
@@ -36,21 +36,16 @@ class RuntimeEngine:
         self.arena = SharedArena() if self.is_pool else None
         if self.is_pool:
             set_worker_context(sim.kernels, sim.case)
-        #: task-lifecycle tracing + overhead attribution collector
-        self.perfscope = PerfScope(enabled=perfscope)
-        self.scheduler = Scheduler(self.executor, profiler=sim.profiler,
-                                   perfscope=self.perfscope)
-        self._acc: Optional[ScheduleReport] = None
+        self.scheduler = Scheduler(self.executor, profiler=sim.profiler)
+        self._acc: Optional[StepPerf] = None
         self._closed = False
-        #: merged report of the most recent completed step
-        self.last_step_report: Optional[ScheduleReport] = None
-        #: merged report of the whole run
-        self.total_report = ScheduleReport()
+        #: attribution of the most recent completed step
+        self.last_step_report: Optional[StepPerf] = None
+        #: attribution of the whole run
+        self.total_report = StepPerf()
         #: per-kernel-class launch counters merged from pool workers during
         #: the most recent completed step ({} on inline executors)
         self.last_step_worker_counters: dict = {}
-        #: lifecycle attribution of the most recent completed step
-        self.last_step_perf = None  # type: Optional[object]  # StepPerf
 
     @staticmethod
     def _supervision(sim) -> Optional[dict]:
@@ -102,25 +97,23 @@ class RuntimeEngine:
 
     # -- step execution ---------------------------------------------------
     def begin_step(self) -> None:
-        self._acc = ScheduleReport()
-        self.perfscope.begin_step()
+        self._acc = StepPerf()
 
-    def run_stage(self, dt: float, stage: int) -> ScheduleReport:
+    def run_stage(self, dt: float, stage: int) -> StepPerf:
         graph = build_stage_graph(self.sim, dt, stage, arena=self.arena)
         if self.faults is not None:
             self.faults.instrument(graph, step=self.sim.step_count,
                                    stage=stage)
-        report = self.scheduler.run(graph)
+        perf = attribute_stage(self.scheduler.run(graph))
         if self._acc is not None:
-            self._acc.merge(report)
-        return report
+            self._acc.merge(perf)
+        return perf
 
     def end_step(self) -> None:
         if self._acc is not None:
             self.last_step_report = self._acc
             self.total_report.merge(self._acc)
             self._acc = None
-        self.last_step_perf = self.perfscope.finalize_step()
         # fold the step's worker-side launch counters into the driver's
         # execution backend so pool runs report their device activity
         counters = self.executor.drain_worker_counters()
@@ -133,7 +126,6 @@ class RuntimeEngine:
     def abort_step(self) -> None:
         """Discard the partially accumulated step (watchdog rollback)."""
         self._acc = None
-        self.perfscope.abort_step()
         # a rolled-back step's worker launches are discarded with it
         self.executor.drain_worker_counters()
 

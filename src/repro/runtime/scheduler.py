@@ -1,4 +1,4 @@
-"""Ready-queue scheduler with comm-posting priority and overlap metering.
+"""Ready-queue scheduler with comm-posting priority.
 
 Tasks become ready when their dependencies complete; among ready tasks
 the scheduler prefers, in order: ``comm-post`` (get halo exchanges in
@@ -8,21 +8,16 @@ can run in the gap).  Ties break on submission order, so the ``serial``
 executor is fully deterministic and — because only mutually independent
 tasks are ever reordered — bit-identical to the eager driver.
 
-While running, the scheduler measures the quantity the paper's Fig. 7
-models: for every ``comm-post``/``comm-wait`` channel pair it records
-the *in-flight window* (post completion to finish start) and sums the
-compute time executed inside such windows — the **measured overlap** a
-real schedule achieves, directly comparable to the modeled
-``fillpatch_split`` nowait/finish decomposition.
-
-Every executed task is exported as a tracer span whose ``tid`` is the
-worker that ran it (0 = the driver, 1..N = pool workers).  When a
-:class:`~repro.observability.perfscope.PerfScope` is attached, the
-scheduler additionally records each task's full lifecycle (enqueued,
-pickled, dispatched, started-on-worker, finished, collected, merged)
-into a per-stage trace, and the worker tracks gain lifecycle
-sub-slices (``serialize`` on the driver track, ``wait``/``collect``
-around offloaded task spans).
+Each task is timed once, into the stage's
+:class:`~repro.observability.perfscope.StageTrace` (enqueued,
+serialized, dispatched, started-on-worker, finished, collected,
+merged).  The closed trace is the scheduler's only per-task record: the
+measured comm/compute overlap (the quantity the paper's Fig. 7 models),
+the lifecycle attribution and — in one pass at the end of the stage —
+the Chrome-trace ``task`` spans (``tid`` = the lane that ran the task:
+0 the driver, 1..N pool workers) and their ``lifecycle`` sub-slices
+(``serialize``/``collect`` on the driver track, ``wait`` before an
+offloaded task) are all computed from it.
 """
 
 from __future__ import annotations
@@ -30,9 +25,9 @@ from __future__ import annotations
 import heapq
 import time
 from contextlib import ExitStack
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
+from repro.observability.perfscope.lifecycle import StageTrace
 from repro.runtime.graph import Task, TaskGraph
 
 #: scheduling priority by task kind (lower runs first among ready tasks)
@@ -49,91 +44,27 @@ KIND_PRIORITY = {
 RUNTIME_STREAM_BASE = 8
 
 
-@dataclass
-class ScheduleReport:
-    """Measured statistics of one (or several merged) graph executions."""
-
-    tasks_by_kind: Dict[str, int] = field(default_factory=dict)
-    posted_comm_s: float = 0.0    # time inside comm-post tasks (packing)
-    finish_comm_s: float = 0.0    # time inside comm-wait tasks (unpacking)
-    compute_s: float = 0.0        # time inside compute tasks
-    overlap_s: float = 0.0        # compute time under an open comm window
-    makespan_s: float = 0.0
-    busy_s: float = 0.0           # summed task time across workers
-    nworkers: int = 1
-    graphs: int = 0
-
-    @property
-    def comm_s(self) -> float:
-        return self.posted_comm_s + self.finish_comm_s
-
-    @property
-    def overlap_frac(self) -> float:
-        """Fraction of compute time that ran while comm was in flight."""
-        return self.overlap_s / self.compute_s if self.compute_s > 0 else 0.0
-
-    @property
-    def idle_frac(self) -> float:
-        """Fraction of worker-seconds spent idle over the makespan."""
-        cap = self.makespan_s * self.nworkers
-        return max(0.0, 1.0 - self.busy_s / cap) if cap > 0 else 0.0
-
-    def merge(self, other: "ScheduleReport") -> "ScheduleReport":
-        for k, n in other.tasks_by_kind.items():
-            self.tasks_by_kind[k] = self.tasks_by_kind.get(k, 0) + n
-        self.posted_comm_s += other.posted_comm_s
-        self.finish_comm_s += other.finish_comm_s
-        self.compute_s += other.compute_s
-        self.overlap_s += other.overlap_s
-        self.makespan_s += other.makespan_s
-        self.busy_s += other.busy_s
-        self.nworkers = max(self.nworkers, other.nworkers)
-        self.graphs += other.graphs
-        return self
-
-    def as_dict(self) -> Dict[str, float]:
-        out = {
-            "posted_comm_s": self.posted_comm_s,
-            "finish_comm_s": self.finish_comm_s,
-            "compute_s": self.compute_s,
-            "overlap_s": self.overlap_s,
-            "overlap_frac": self.overlap_frac,
-            "idle_frac": self.idle_frac,
-            "makespan_s": self.makespan_s,
-            "workers": float(self.nworkers),
-        }
-        for kind, n in self.tasks_by_kind.items():
-            out[f"tasks.{kind.replace('-', '_')}"] = float(n)
-        return out
-
-
 class Scheduler:
-    """Executes one TaskGraph on an executor, collecting a report."""
+    """Executes one TaskGraph on an executor, recording a StageTrace."""
 
     def __init__(self, executor, profiler=None, tracer=None,
-                 trace_rank: int = 0, perfscope=None) -> None:
+                 trace_rank: int = 0) -> None:
         self.executor = executor
         self.profiler = profiler
         self.tracer = tracer
         self.trace_rank = trace_rank
-        #: optional repro.observability.perfscope.PerfScope collector
-        self.perfscope = perfscope
+        #: span ids stay unique across every stage this scheduler runs
+        self._next_sid = 0
 
-    def run(self, graph: TaskGraph) -> ScheduleReport:
+    def run(self, graph: TaskGraph) -> StageTrace:
         t_start = time.perf_counter()
-        report = ScheduleReport(nworkers=getattr(self.executor, "nworkers", 1),
-                                graphs=1)
-        report.tasks_by_kind = graph.counts_by_kind()
-
-        scope = self.perfscope
+        nworkers = getattr(self.executor, "nworkers", 1)
         is_pool = getattr(self.executor, "name", "serial") == "pool"
-        nlanes = 1 + (report.nworkers if is_pool else 0)
-        trace = scope.begin_stage(graph, nlanes) if (
-            scope is not None and scope.enabled) else None
-        if trace is not None:
-            # share the scheduler's epoch so driver-relative now() readings
-            # and worker-absolute perf_counter readings reconcile exactly
-            trace.t0_abs = t_start
+        # the scheduler's epoch is the trace's, so driver-relative now()
+        # readings and worker-absolute perf_counter readings reconcile
+        trace = StageTrace(graph, 1 + (nworkers if is_pool else 0),
+                           sid_base=self._next_sid, t0_abs=t_start)
+        self._next_sid += len(graph.tasks)
         # anchor this stage's spans on the tracer's own timeline so the
         # worker tracks render as one continuous run, not per-stage piles
         base_us = self.tracer.now_us() if self.tracer is not None else 0.0
@@ -147,84 +78,35 @@ class Scheduler:
 
         def push(tid: int) -> None:
             heapq.heappush(ready, (KIND_PRIORITY[graph.tasks[tid].kind], tid))
-            if trace is not None:
-                trace.enqueued(tid, now())
+            trace.enqueued(tid, now())
 
         for t in graph.tasks:
             if unmet[t.tid] == 0:
                 push(t.tid)
 
-        # comm windows: channel -> post-completion time; closed windows
-        # accumulate (open, close) intervals for the overlap integral
-        open_windows: Dict[Hashable, float] = {}
-        windows: List[Tuple[float, float]] = []
-        compute_spans: List[Tuple[float, float]] = []
-
-        def complete(task: Task, worker: int, dur: float,
-                     t0: Optional[float] = None) -> None:
-            report.busy_s += dur
-            if task.kind == "comm-post":
-                report.posted_comm_s += dur
-                if task.channel is not None:
-                    open_windows[task.channel] = now()
-            elif task.kind == "comm-wait":
-                report.finish_comm_s += dur
-            elif task.kind == "compute":
-                report.compute_s += dur
-                if t0 is not None:
-                    compute_spans.append((t0, t0 + dur))
-            if self.tracer is not None:
-                ts = t0 if t0 is not None else now() - dur
-                self.tracer.complete(
-                    task.name, base_us + ts * 1e6, dur * 1e6,
-                    rank=self.trace_rank,
-                    stream=RUNTIME_STREAM_BASE + worker, cat="task",
-                    args={"kind": task.kind},
-                )
+        def complete(task: Task) -> None:
             remaining.discard(task.tid)
             for d in task.dependents:
                 unmet[d] -= 1
                 if unmet[d] == 0:
                     push(d)
-            if trace is not None:
-                trace.merged(task.tid, now())
+            trace.merged(task.tid, now())
 
         def run_inline(task: Task) -> None:
-            # the first consumer of a posted channel starting (comm-wait,
-            # or e.g. an interp task using posted coords) closes its
-            # in-flight window
-            if (task.channel is not None and task.kind != "comm-post"
-                    and task.channel in open_windows):
-                windows.append((open_windows.pop(task.channel), now()))
             t0 = now()
             with ExitStack() as stack:
                 if self.profiler is not None:
                     for name in task.regions:
                         stack.enter_context(self.profiler.region(name))
                 task.fn()
-            dur = now() - t0
-            if trace is not None:
-                trace.ran_inline(task.tid, t0, dur)
-            complete(task, worker=0, dur=dur, t0=t0)
+            trace.ran_inline(task.tid, t0, now() - t0)
+            complete(task)
 
         def on_offload_done(task: Task, worker: int, dur: float,
                             lifecycle: Optional[dict] = None) -> None:
-            if self.profiler is not None:
-                self.profiler.charge("PoolWorkers", dur)
-            t_collected = now()
-            t0 = t_collected - dur
-            if trace is not None and lifecycle is not None:
-                trace.offloaded_done(task.tid, worker, dur, lifecycle,
-                                     t_collected)
-                span = trace.spans[task.tid]
-                t0 = span.t_started if span.t_started is not None else t0
-            # worker wall time counts as compute concurrent with whatever
-            # windows were open when it finished
-            complete(task, worker=worker, dur=dur, t0=t0)
-            if trace is not None and lifecycle is not None:
-                # merged timestamp is stamped by complete(); now the full
-                # lifecycle can render as Chrome-trace sub-slices
-                self._trace_lifecycle(trace.spans[task.tid], worker, base_us)
+            trace.offloaded_done(task.tid, worker, dur, lifecycle or {},
+                                 now())
+            complete(task)
 
         try:
             self._drive(graph, remaining, ready, unmet, run_inline,
@@ -239,47 +121,51 @@ class Scheduler:
                 cancel()
             raise
 
-        # any window never closed by a comm-wait closes at makespan end
-        for t_open in open_windows.values():
-            windows.append((t_open, now()))
-        report.makespan_s = now()
-        report.overlap_s = _interval_overlap(compute_spans, windows)
-        if trace is not None:
-            trace.close(report.makespan_s)
-        return report
+        trace.close(now())
+        if self.tracer is not None:
+            self._emit_spans(trace, base_us)
+        return trace
 
-    def _trace_lifecycle(self, span, worker: int, base_us: float) -> None:
-        """Emit an offloaded task's lifecycle sub-slices to the tracer.
+    def _emit_spans(self, trace: StageTrace, base_us: float) -> None:
+        """Emit the closed trace's task spans and lifecycle sub-slices.
 
-        ``serialize`` lands on the driver track (that's whose time it
-        was), ``wait`` precedes the task span on the worker track, and
-        ``collect`` marks the driver folding the result back in.
+        Each task becomes a ``task`` span on its lane's track.  A task
+        handed to the executor also gets ``lifecycle`` slices:
+        ``serialize`` on the driver track (that's whose time it was),
+        ``wait`` before the task span on the worker track, and
+        ``collect`` for the driver folding the result back in.
         """
-        if self.tracer is None:
-            return
-        args = {"task": span.name, "cat_detail": "lifecycle"}
-        if span.serialize_s and span.t_dispatched is not None:
-            self.tracer.complete(
-                "serialize", base_us + (span.t_dispatched
-                                        - span.serialize_s) * 1e6,
-                span.serialize_s * 1e6, rank=self.trace_rank,
-                stream=RUNTIME_STREAM_BASE, cat="lifecycle",
-                args=dict(args, bytes=span.pickle_bytes))
-        if span.queue_wait_s and span.t_dispatched is not None:
-            self.tracer.complete(
-                "wait", base_us + span.t_dispatched * 1e6,
-                span.queue_wait_s * 1e6, rank=self.trace_rank,
-                stream=RUNTIME_STREAM_BASE + worker, cat="lifecycle",
-                args=args)
-        if span.t_collected is not None and span.t_merged is not None:
-            self.tracer.complete(
-                "collect", base_us + span.t_collected * 1e6,
-                (span.t_merged - span.t_collected) * 1e6,
-                rank=self.trace_rank, stream=RUNTIME_STREAM_BASE,
-                cat="lifecycle", args=args)
+        tracer, rank = self.tracer, self.trace_rank
+        driver = RUNTIME_STREAM_BASE
+        for s in trace.spans:
+            if s.t_started is None:
+                continue
+            tracer.complete(s.name, base_us + s.t_started * 1e6,
+                            s.execute_s * 1e6, rank=rank,
+                            stream=driver + s.lane, cat="task",
+                            args={"kind": s.kind})
+            if s.t_dispatched is None:
+                continue
+            args = {"task": s.name, "cat_detail": "lifecycle"}
+            if s.serialize_s:
+                tracer.complete(
+                    "serialize",
+                    base_us + (s.t_dispatched - s.serialize_s) * 1e6,
+                    s.serialize_s * 1e6, rank=rank, stream=driver,
+                    cat="lifecycle", args=dict(args, bytes=s.pickle_bytes))
+            if s.queue_wait_s:
+                tracer.complete(
+                    "wait", base_us + s.t_dispatched * 1e6,
+                    s.queue_wait_s * 1e6, rank=rank,
+                    stream=driver + s.lane, cat="lifecycle", args=args)
+            if s.t_collected is not None and s.t_merged is not None:
+                tracer.complete(
+                    "collect", base_us + s.t_collected * 1e6,
+                    (s.t_merged - s.t_collected) * 1e6, rank=rank,
+                    stream=driver, cat="lifecycle", args=args)
 
     def _drive(self, graph, remaining, ready, unmet, run_inline,
-               on_offload_done, trace=None) -> None:
+               on_offload_done, trace: StageTrace) -> None:
         """The scheduling loop: saturate the pool, run inline, drain."""
         while remaining:
             # keep the pool saturated with ready offloadable work before
@@ -295,10 +181,9 @@ class Scheduler:
                             ready[idx] = ready[-1]
                             ready.pop()
                             heapq.heapify(ready)
-                            if trace is not None:
-                                # the span id rides with the payload and
-                                # is echoed back by the worker
-                                task.payload["_sid"] = trace.sid(tid)
+                            # the span id rides with the payload and
+                            # is echoed back by the worker
+                            task.payload["_sid"] = trace.sid(tid)
                             self.executor.submit(task, on_offload_done)
                             launched = True
                             break
@@ -321,22 +206,3 @@ class Scheduler:
         while self.executor.in_flight():  # pragma: no cover - drained above
             self.executor.wait_one()
 
-
-def _interval_overlap(spans: List[Tuple[float, float]],
-                      windows: List[Tuple[float, float]]) -> float:
-    """Total length of ``spans`` covered by the union of ``windows``."""
-    if not spans or not windows:
-        return 0.0
-    merged: List[List[float]] = []
-    for lo, hi in sorted(windows):
-        if merged and lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    total = 0.0
-    for s0, s1 in spans:
-        for w0, w1 in merged:
-            lo, hi = max(s0, w0), min(s1, w1)
-            if lo < hi:
-                total += hi - lo
-    return total

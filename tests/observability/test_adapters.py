@@ -1,11 +1,12 @@
-"""Tests for the span adapters: profiler and device listeners."""
+"""Tests for the span sources: a tracer-bound profiler and the device
+listener."""
 
 import numpy as np
 import pytest
 
 from repro.backend import DeviceBackend, LaunchSpec
 from repro.kernels.counts import KernelBudget
-from repro.observability.adapters import DeviceTraceAdapter, ProfilerTraceAdapter
+from repro.observability.adapters import DeviceTraceAdapter
 from repro.observability.recorder import device_gauges
 from repro.observability.tracer import GPU_STREAM, Tracer
 from repro.profiling.tinyprofiler import TinyProfiler
@@ -14,7 +15,7 @@ from repro.profiling.tinyprofiler import TinyProfiler
 def test_profiler_regions_become_nested_spans():
     tracer = Tracer()
     prof = TinyProfiler()
-    prof.add_listener(ProfilerTraceAdapter(tracer, rank=0))
+    prof.bind_tracer(tracer, rank=0)
     with prof.region("FillPatch"):
         with prof.region("FillBoundary"):
             pass
@@ -24,7 +25,7 @@ def test_profiler_regions_become_nested_spans():
     assert inner["ts"] >= outer["ts"]
     assert inner["ts"] + inner["dur"] <= outer["ts"] + outer["dur"] + 1e-6
     assert inner["args"]["path"] == "FillPatch/FillBoundary"
-    # profiler accumulation is unchanged by the listener
+    # profiler accumulation is unchanged by the tracer
     assert prof.calls("FillPatch") == 1
     assert "FillBoundary" in prof.breakdown("FillPatch")
 
@@ -32,7 +33,7 @@ def test_profiler_regions_become_nested_spans():
 def test_profiler_charges_become_charged_spans():
     tracer = Tracer()
     prof = TinyProfiler()
-    prof.add_listener(ProfilerTraceAdapter(tracer, rank=0))
+    prof.bind_tracer(tracer, rank=0)
     with prof.charged_region("FillPatch"):
         prof.charge("ParallelCopy", 2.0)
         prof.charge("FillBoundary", 1.0)
@@ -41,17 +42,6 @@ def test_profiler_charges_become_charged_spans():
     assert spans["ParallelCopy"]["dur"] == pytest.approx(2.0e6)
     # the tracer's charged layout matches the profiler's accounting
     assert prof.total("FillPatch") == pytest.approx(3.0)
-
-
-def test_remove_listener_stops_forwarding():
-    tracer = Tracer()
-    prof = TinyProfiler()
-    adapter = ProfilerTraceAdapter(tracer, rank=0)
-    prof.add_listener(adapter)
-    prof.charge("A", 1.0)
-    prof.remove_listener(adapter)
-    prof.charge("B", 1.0)
-    assert {e["name"] for e in tracer.events()} == {"A"}
 
 
 def test_device_adapter_counts_and_spans():

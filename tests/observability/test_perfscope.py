@@ -14,7 +14,6 @@ import pytest
 from repro.cases.dmr import DoubleMachReflection
 from repro.core.crocco import Crocco, CroccoConfig
 from repro.observability.perfscope import (
-    PerfScope,
     StageTrace,
     StepPerf,
     attribute_stage,
@@ -35,6 +34,7 @@ class FakeTask:
         self.name = name
         self.kind = kind
         self.deps = tuple(deps)
+        self.channel = None
 
 
 class FakeGraph:
@@ -236,37 +236,42 @@ class TestAttribution:
 
 
 class TestPerfScope:
-    def test_disabled_scope_collects_nothing(self):
-        scope = PerfScope(enabled=False)
-        scope.begin_step()
-        assert scope.begin_stage(chain_graph(), 1) is None
-        assert scope.finalize_step() is None
-        assert scope.total is None
+    """The record's lifecycle through the scheduler and the engine."""
 
     def test_abort_drops_partial_step(self):
-        scope = PerfScope()
-        scope.begin_step()
-        trace = scope.begin_stage(chain_graph(), 1)
-        trace.ran_inline(0, 0.0, 1.0)
-        scope.abort_step()
-        scope.begin_step()
-        step = scope.finalize_step()
+        from repro.cases.shocktube import SodShockTube
+
+        sim = Crocco(SodShockTube(32), CroccoConfig(max_grid_size=32,
+                                                    executor="serial"))
+        sim.initialize()
+        engine = sim.engine
+        engine.begin_step()
+        engine.run_stage(1e-4, 0)
+        engine.abort_step()
+        engine.begin_step()
+        engine.end_step()
+        sim.close()
+        step = engine.last_step_report
         assert step.stages == 0 and step.tasks == 0
+        assert engine.total_report.stages == 0
 
     def test_sids_unique_across_stages(self):
-        scope = PerfScope()
-        scope.begin_step()
-        t1 = scope.begin_stage(chain_graph(), 1)
-        t2 = scope.begin_stage(chain_graph(), 1)
+        from repro.runtime.executors import SerialExecutor
+        from repro.runtime.graph import TaskGraph
+        from repro.runtime.scheduler import Scheduler
+
+        sched = Scheduler(SerialExecutor())
+        g = TaskGraph()
+        for n in range(4):
+            g.add(f"c{n}", lambda: None, kind="compute")
+        t1, t2 = sched.run(g), sched.run(g)
         assert t2.sid(0) == t1.sid(3) + 1
 
     def test_overhead_self_metered(self):
-        scope = PerfScope()
-        scope.begin_step()
-        scope.begin_stage(chain_graph(), 1)
-        step = scope.finalize_step()
-        assert step.overhead_s > 0.0
-        assert step.overhead_s == scope.overhead_s
+        trace = StageTrace(chain_graph(), 1)
+        step = attribute_stage(trace)
+        assert trace.overhead_s > 0.0
+        assert step.overhead_s > trace.overhead_s
 
 
 # -- integration -------------------------------------------------------------
@@ -285,7 +290,7 @@ def run_dmr(executor, workers=None, steps=2, **cfg):
 class TestIntegration:
     def test_serial_run_attributes_full_capacity(self):
         sim = run_dmr("serial")
-        perf = sim.engine.perfscope.total
+        perf = sim.engine.total_report
         sim.close()
         assert perf.stages == 6  # 2 steps x 3 RK stages
         assert perf.offloaded == 0
@@ -297,7 +302,7 @@ class TestIntegration:
     @pytest.mark.skipif(not HAS_FORK, reason="needs fork start method")
     def test_pool_run_reconciles_worker_clocks(self):
         sim = run_dmr("pool", workers=2)
-        perf = sim.engine.perfscope.total
+        perf = sim.engine.total_report
         sim.close()
         assert perf.nlanes == 3
         assert perf.offloaded > 0
@@ -309,11 +314,66 @@ class TestIntegration:
         # offloaded worker idle shows up on worker lanes
         assert set(perf.lane_idle) == {0, 1, 2}
 
-    def test_config_disables_perfscope(self):
-        sim = run_dmr("serial", perfscope=False, steps=1)
-        assert sim.engine.perfscope.total is None
-        assert sim.engine.last_step_perf is None
+    def test_config_disables_perfscope(self, tmp_path):
+        from repro.observability.metrics import MetricsRegistry
+
+        metrics = tmp_path / "metrics.jsonl"
+        sim = run_dmr("serial", perfscope=False, steps=1,
+                      metrics_out=str(metrics))
         sim.close()
+        # the record is always kept (runtime.* is computed from it); the
+        # flag only withholds the perf.* attribution gauges
+        assert sim.engine.total_report.stages == 3
+        (rec,) = MetricsRegistry.read_jsonl(metrics)
+        assert "runtime.idle_frac" in rec["metrics"]
+        assert not [k for k in rec["metrics"] if k.startswith("perf.")]
+
+    def test_step_overhead_is_that_steps_cost(self):
+        sim = run_dmr("serial", steps=1)
+        steps = [sim.engine.last_step_report]
+        for _ in range(2):
+            sim.step()
+            steps.append(sim.engine.last_step_report)
+        total = sim.engine.total_report
+        sim.close()
+        assert all(s.overhead_s > 0.0 for s in steps)
+        assert sum(s.overhead_s for s in steps) == \
+            pytest.approx(total.overhead_s, rel=1e-12)
+        # each step carries its own cost, not the run's running total
+        assert steps[-1].overhead_s < total.overhead_s
+
+    @pytest.mark.parametrize("executor", [
+        "serial",
+        pytest.param("pool", marks=pytest.mark.skipif(
+            not HAS_FORK, reason="needs fork start method")),
+    ])
+    def test_idle_frac_is_lane_measured(self, executor, tmp_path):
+        from repro.observability.metrics import MetricsRegistry
+
+        metrics = tmp_path / "metrics.jsonl"
+        sim = run_dmr(executor, workers=2 if executor == "pool" else None,
+                      steps=1, metrics_out=str(metrics))
+        for _ in range(2):
+            sim.step()
+        sim.close()
+        records = MetricsRegistry.read_jsonl(metrics)
+        # one step: the per-step and whole-run figures are the same record
+        first = records[0]["metrics"]
+        assert first["runtime.idle_frac"] == \
+            first["perf.idle_s"] / first["perf.capacity_s"]
+        # every step: runtime.idle_frac is that step's share of the
+        # cumulative perf.idle_s / perf.capacity_s
+        prev = {"perf.idle_s": 0.0, "perf.capacity_s": 0.0}
+        for rec in records:
+            m = rec["metrics"]
+            step_idle = m["perf.idle_s"] - prev["perf.idle_s"]
+            step_cap = m["perf.capacity_s"] - prev["perf.capacity_s"]
+            assert m["runtime.idle_frac"] == pytest.approx(
+                step_idle / step_cap, rel=1e-9, abs=1e-12)
+            prev = m
+        total = sim.engine.total_report
+        assert total.idle_frac == records[-1]["metrics"]["perf.idle_s"] \
+            / records[-1]["metrics"]["perf.capacity_s"]
 
     def test_recorded_run_exports_perf_gauges_and_report(self, tmp_path):
         from repro.observability.report import format_report, load_run

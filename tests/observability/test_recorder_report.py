@@ -9,6 +9,8 @@ simulated-Summit weak-scaling driver emits the same schema with charged
 time.
 """
 
+import multiprocessing
+
 import pytest
 
 from repro.cases.dmr import DoubleMachReflection
@@ -141,6 +143,37 @@ def test_report_matches_profiler_breakdown(recorded_run):
     assert "FillPatch split" in text
     assert "comms matrix" in text
     assert "Advance" in text
+
+
+@pytest.mark.parametrize("executor", [
+    "serial",
+    pytest.param("pool", marks=pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs fork start method")),
+])
+def test_wall_trace_has_no_charged_spans(executor, tmp_path):
+    """A wall-clock run writes no charged spans: nothing is laid on the
+    driver track's simulated cursor, so no span can overrun a wall
+    region and FillPatch/Advance exclusive time stays non-negative in
+    both the profiler and the trace-built report."""
+    case = DoubleMachReflection(ncells=(64, 16), curvilinear=True)
+    sim = Crocco(case, CroccoConfig(
+        version="2.0", nranks=6, ranks_per_node=6, max_level=1,
+        max_grid_size=32, blocking_factor=8, regrid_int=2,
+        executor=executor, workers=2 if executor == "pool" else None,
+        trace_out=str(tmp_path / "trace.json"),
+        metrics_out=str(tmp_path / "metrics.jsonl")))
+    sim.initialize()
+    sim.run(2)
+    prof = sim.profiler
+    sim.close()
+    events, _other, _records = load_run(str(tmp_path))
+    assert [e for e in events if e.get("cat") == "charged"] == []
+    regions = summarize_spans([e for e in events if e.get("cat") == "region"])
+    for name in ("FillPatch", "Advance"):
+        exclusive = prof.total(name) - sum(prof.breakdown(name).values())
+        assert exclusive >= 0.0, (name, exclusive)
+        assert regions[name].exclusive >= 0.0, (name, regions[name])
 
 
 def test_report_cli_exit_codes(recorded_run, tmp_path, capsys):

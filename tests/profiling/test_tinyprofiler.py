@@ -120,28 +120,21 @@ def test_report_orders_siblings_by_inclusive_time():
     assert heavy_line.startswith("  ")
 
 
-def test_listener_callbacks_fire_in_order():
-    events = []
+def test_bound_tracer_gets_region_and_charge_spans():
+    from repro.observability.tracer import Tracer
 
-    class Spy:
-        def on_enter(self, path):
-            events.append(("enter", path))
-
-        def on_exit(self, path, dt):
-            events.append(("exit", path))
-
-        def on_charge(self, path, seconds, calls):
-            events.append(("charge", path, seconds))
-
+    tracer = Tracer()
     prof = TinyProfiler()
-    prof.add_listener(Spy())
+    prof.bind_tracer(tracer, rank=2)
     with prof.region("A"):
         prof.charge("B", 1.5)
-    assert events == [
-        ("enter", ("A",)),
-        ("charge", ("A", "B"), 1.5),
-        ("exit", ("A",)),
+    # the charge is written when made, the wall region when it closes
+    assert [(e["name"], e["cat"], e["pid"], e["args"]["path"])
+            for e in tracer.events()] == [
+        ("B", "charged", 2, "A/B"),
+        ("A", "region", 2, "A"),
     ]
+    assert tracer.events()[0]["args"]["calls"] == 1
 
 
 def test_report_and_reset():

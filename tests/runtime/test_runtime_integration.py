@@ -113,13 +113,13 @@ class TestExecutorEquivalence:
             assert err < 1e-12, f"level/box {k}: max abs err {err}"
         # the pool actually offloaded compute tasks
         assert p_rep.tasks_by_kind["compute"] > 0
-        assert p_rep.nworkers >= 2
+        assert p_rep.workers >= 2
 
 
 class TestEngineReport:
     def test_two_level_run_overlaps(self):
         _state, rep = run_dmr("serial", steps=3)
-        assert rep.graphs == 9  # 3 steps x 3 RK stages
+        assert rep.stages == 9  # 3 steps x 3 RK stages
         assert rep.tasks_by_kind["comm-post"] > 0
         assert rep.tasks_by_kind["comm-wait"] > 0
         assert rep.tasks_by_kind["compute"] > 0

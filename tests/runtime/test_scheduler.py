@@ -1,15 +1,20 @@
-"""Scheduler: priority order, overlap windows, and report accounting."""
+"""Scheduler: priority order, overlap windows, and report accounting.
+
+The scheduler's one per-task record is the stage trace it returns; the
+overlap and report figures are read from its attribution.
+"""
 
 import time
 
+from repro.observability.perfscope import StepPerf, attribute_stage
+from repro.observability.perfscope.attribution import _overlap
 from repro.runtime.executors import SerialExecutor
 from repro.runtime.graph import DataKey, TaskGraph
-from repro.runtime.scheduler import (KIND_PRIORITY, ScheduleReport, Scheduler,
-                                     _interval_overlap)
+from repro.runtime.scheduler import KIND_PRIORITY, Scheduler
 
 
 def run_serial(graph, **kw):
-    return Scheduler(SerialExecutor(), **kw).run(graph)
+    return attribute_stage(Scheduler(SerialExecutor(), **kw).run(graph))
 
 
 class TestPriorities:
@@ -106,9 +111,9 @@ class TestOverlapMeasurement:
     def test_interval_overlap_merges_windows(self):
         spans = [(0.0, 10.0)]
         windows = [(1.0, 3.0), (2.0, 5.0), (7.0, 8.0)]
-        assert abs(_interval_overlap(spans, windows) - 5.0) < 1e-12
-        assert _interval_overlap([], windows) == 0.0
-        assert _interval_overlap(spans, []) == 0.0
+        assert abs(_overlap(spans, windows) - 5.0) < 1e-12
+        assert _overlap([], windows) == 0.0
+        assert _overlap(spans, []) == 0.0
 
 
 class TestReport:
@@ -121,22 +126,22 @@ class TestReport:
         assert rep.tasks_by_kind == {"comm-post": 1, "comm-wait": 1,
                                      "compute": 1}
         assert rep.makespan_s > 0.0
-        assert rep.graphs == 1
-        d = rep.as_dict()
+        assert rep.stages == 1
+        d = rep.runtime_gauges()
         assert d["tasks.comm_post"] == 1.0
         assert "overlap_frac" in d and "idle_frac" in d
 
     def test_merge_accumulates(self):
-        a = ScheduleReport(tasks_by_kind={"compute": 2}, compute_s=1.0,
-                          overlap_s=0.5, makespan_s=2.0, busy_s=1.0,
-                          nworkers=1, graphs=1)
-        b = ScheduleReport(tasks_by_kind={"compute": 3, "bc": 1},
-                          compute_s=2.0, overlap_s=0.25, makespan_s=1.0,
-                          busy_s=2.0, nworkers=4, graphs=1)
+        a, b = StepPerf(), StepPerf()
+        a.tasks_by_kind, a.compute_s, a.overlap_s = {"compute": 2}, 1.0, 0.5
+        a.makespan_s, a.stages = 2.0, 1
+        b.tasks_by_kind = {"compute": 3, "bc": 1}
+        b.compute_s, b.overlap_s, b.makespan_s = 2.0, 0.25, 1.0
+        b.nlanes, b.stages = 5, 1
         a.merge(b)
         assert a.tasks_by_kind == {"compute": 5, "bc": 1}
         assert a.compute_s == 3.0 and a.overlap_s == 0.75
-        assert a.nworkers == 4 and a.graphs == 2
+        assert a.workers == 4 and a.stages == 2
 
     def test_idle_frac_serial_is_low(self):
         g = TaskGraph()
@@ -144,6 +149,18 @@ class TestReport:
             g.add(f"c{n}", lambda: time.sleep(0.005), kind="compute")
         rep = run_serial(g)
         assert rep.idle_frac < 0.5
+
+
+class TestRecord:
+    def test_each_inline_task_timed_once(self):
+        g = TaskGraph()
+        g.add("c", lambda: time.sleep(0.01), kind="compute")
+        trace = Scheduler(SerialExecutor()).run(g)
+        (span,) = trace.spans
+        assert span.lane == 0 and not span.offloaded
+        assert span.execute_s > 0.005
+        assert span.t_started <= span.t_finished <= span.t_merged \
+            <= trace.makespan_s
 
 
 class TestTracer:
